@@ -9,6 +9,14 @@ bounding, termination — as row-wise array operations.  Converged rows
 freeze while the batch runs until every row has converged or the iteration
 budget is spent.
 
+**One row-step.**  Both drivers (the lockstep :class:`BatchedAllocator`
+and :class:`~repro.parallel.continuous.ContinuousBatcher`) advance a row
+the same way: one ``mu - lambda x`` per row, checked for stability once;
+the gradient (and the cost, when it is read) derived from it; the
+active-set pin loop run only for rows that pin a node; and ``x + dx``
+formed once and kept as the next iterate.  The lockstep driver keeps its
+live rows packed and copies only when a row freezes.
+
 **Bit-for-bit parity.**  The kernel is written so each row reproduces the
 serial :class:`~repro.core.algorithm.DecentralizedAllocator` exactly —
 same iterates, same active sets, same iteration counts — not merely to
@@ -16,22 +24,26 @@ tolerance.  Three details make that work:
 
 * every per-row expression keeps the serial code's operation order
   (IEEE-754 arithmetic is commutative but not associative);
-* row reductions (``sum``/``mean`` along ``axis=1``) use NumPy's pairwise
-  summation over the same element count as the serial 1-D reductions, so
-  the summation trees coincide;
-* masked means over a *partial* active set are computed per affected row
-  on the compacted ``g[mask]`` vector — exactly what the serial policy
-  does — because summing a zero-padded row would change the pairwise
-  grouping.  Partial masks are rare (they appear only while boundary
-  nodes are pinned), so this costs almost nothing.
+* row reductions (``np.add.reduce`` along ``axis=1`` of a C-contiguous
+  block) use NumPy's pairwise summation over the same element count as
+  the serial 1-D reductions, so the summation trees coincide;
+* masked means over a *partial* active set are taken on the compacted
+  ``g[mask]`` entries — exactly what the serial policy does — because
+  summing a zero-padded row would change the pairwise grouping.  Rows
+  with the same active count ``m`` are reduced together as one
+  ``(rows, m)`` block.  Partial masks are common: they appear whenever a
+  boundary node is pinned, which on warm-started and skewed-start sweeps
+  is most steps.
 
 ``tests/test_parallel.py`` asserts the parity property on seeded random
-problems, including active-set-shrinking trajectories.
+problems, including active-set-shrinking trajectories and batches whose
+pin rounds hold rows of several active counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -59,8 +71,10 @@ class BatchedProblem:
 
     Every evaluation method takes an ``(R, N)`` allocation block and a
     matching ``rows`` selector (bool mask or index array over the batch),
-    so the allocator can evaluate only the still-live rows; row ``r`` of
-    the output is bit-identical to ``problems[r]``'s serial evaluation.
+    so a caller can evaluate only some rows; row ``r`` of the output is
+    bit-identical to ``problems[r]``'s serial evaluation.  The drivers
+    step through :meth:`_rows`, which packs the selected rows' constants
+    once and derives gradient and cost from a single ``mu - lambda x``.
     """
 
     def __init__(self, problems: Sequence[FileAllocationProblem]):
@@ -117,68 +131,208 @@ class BatchedProblem:
         self.k[r, 0] = problem.k
         self.total_rate[r, 0] = problem.total_rate
 
+    def _rows(self, sel=slice(None)) -> "_Rows":
+        """The per-row constants of the selected rows, packed (views for a
+        slice, copies for an index array or mask)."""
+        return _Rows(self.access_cost[sel], self.k[sel], self.mu[sel], self.total_rate[sel])
+
     # -- batched evaluation ----------------------------------------------------
 
-    def _gaps(self, x: np.ndarray, rows) -> np.ndarray:
-        """``mu - lambda x`` for the selected rows, with stability checks."""
-        arrivals = self.total_rate[rows] * x
-        if not np.all(np.isfinite(arrivals)):
-            raise StabilityError("arrival rates must be finite")
-        gap = self.mu[rows] - arrivals
-        if np.any(gap <= 0):
-            bad = np.argwhere(gap <= 0)[0]
-            raise StabilityError(
-                f"M/M/1 unstable in batch (selected row {bad[0]}, node {bad[1]}): "
-                "arrival rate >= service rate"
-            )
-        return gap
+    def _checked(self, x: np.ndarray, rows):
+        """The selected rows' constants with their ``(lambda x, mu -
+        lambda x)``; raises the serial engine's StabilityError instead of
+        returning an unstable evaluation."""
+        constants = self._rows(rows)
+        arrivals, gap = constants.gaps(x)
+        if not _stable(gap):
+            raise _instability(arrivals, gap)
+        return constants, arrivals, gap
 
     def cost(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """``(R,)`` expected access costs — eq. 1 per selected row."""
-        t = 1.0 / self._gaps(x, rows)
-        return np.sum((self.access_cost[rows] + self.k[rows] * t) * x, axis=1)
+        constants, _, gap = self._checked(x, rows)
+        return constants.cost(x, 1.0 / gap)
 
     def utility_gradient(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """``(R, N)`` marginal utilities ``dU/dx`` per selected row."""
-        gap = self._gaps(x, rows)
-        t = 1.0 / gap
-        dt = 1.0 / (gap * gap)
-        return -(
-            self.access_cost[rows]
-            + self.k[rows] * (t + x * self.total_rate[rows] * dt)
-        )
+        constants, arrivals, gap = self._checked(x, rows)
+        return constants.gradient(arrivals, gap)[0]
 
     def cost_hessian_diag(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """``(R, N)`` diagonal Hessians ``d2C/dx_i^2`` per selected row."""
-        # Product form, not ``gap**p``: numpy's pow and the scalar MM1Delay
-        # derivatives can disagree by one ulp, which would break the
-        # bit-for-bit serial parity contract (see MM1Delay.d_sojourn).
-        gap = self._gaps(x, rows)
-        dt = 1.0 / (gap * gap)
-        d2t = 2.0 / (gap * gap * gap)
-        lam = self.total_rate[rows]
-        return self.k[rows] * (2.0 * lam * dt + x * lam * lam * d2t)
+        constants, arrivals, gap = self._checked(x, rows)
+        return constants.hessian_diag(arrivals, gap)
 
     def __repr__(self) -> str:
         return f"BatchedProblem(batch_size={self.batch_size}, n={self.n})"
 
 
-def _masked_means(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-row mean of ``g`` over ``mask``, matching ``g[mask].mean()`` bits.
+class _Rows:
+    """The per-row constants of some batch rows, packed: everything one
+    row-step reads besides the iterate.
 
-    Full rows take the vectorized row mean (same pairwise summation tree
-    as the serial 1-D mean); partial rows compact first, exactly like the
-    serial policy.  Empty rows get 0 (their step is zero anyway).
+    Every method works from one ``(lambda x, mu - lambda x)`` pair per
+    row-step (:meth:`gaps`), so a step evaluates the gap once and derives
+    the gradient, the stability verdict and, where it is read, the cost
+    from it.
     """
-    means = np.zeros(g.shape[0])
-    full = mask.all(axis=1)
-    if full.any():
-        means[full] = g[full].mean(axis=1)
-    for r in np.flatnonzero(~full):
-        sel = g[r, mask[r]]
-        if sel.size:
-            means[r] = sel.mean()
-    return means
+
+    __slots__ = ("access_cost", "k", "mu", "total_rate")
+
+    def __init__(self, access_cost, k, mu, total_rate):
+        self.access_cost = access_cost  #: ``(R, N)`` C_i.
+        self.k = k  #: ``(R, 1)``.
+        self.mu = mu  #: ``(R, N)`` service rates.
+        self.total_rate = total_rate  #: ``(R, 1)`` lambda.
+
+    def take(self, keep) -> "_Rows":
+        """The rows selected by ``keep`` (index array or bool mask)."""
+        return _Rows(self.access_cost[keep], self.k[keep], self.mu[keep], self.total_rate[keep])
+
+    def gaps(self, x: np.ndarray):
+        """``(lambda x, mu - lambda x)``, unchecked (see :func:`_stable`)."""
+        arrivals = self.total_rate * x
+        return arrivals, self.mu - arrivals
+
+    def gradient(self, arrivals: np.ndarray, gap: np.ndarray):
+        """``(dU/dx, T)`` with ``T = 1/(mu - lambda x)``, the sojourn times
+        :meth:`cost` reads.  ``lambda x`` stands in for the serial
+        ``x * lambda`` (multiplication commutes bit for bit)."""
+        t = 1.0 / gap
+        dt = 1.0 / (gap * gap)
+        return -(self.access_cost + self.k * (t + arrivals * dt)), t
+
+    def cost(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``(R,)`` eq. 1 costs from the sojourn times ``t``."""
+        return np.add.reduce((self.access_cost + self.k * t) * x, axis=1)
+
+    def hessian_diag(self, arrivals: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        # Product form, not ``gap**p``: numpy's pow and the scalar MM1Delay
+        # derivatives can disagree by one ulp, which would break the
+        # bit-for-bit serial parity contract (see MM1Delay.d_sojourn).
+        dt = 1.0 / (gap * gap)
+        d2t = 2.0 / (gap * gap * gap)
+        lam = self.total_rate
+        return self.k * (2.0 * lam * dt + arrivals * lam * d2t)
+
+
+def _stable(gap: np.ndarray) -> bool:
+    """Whether every ``mu - lambda x`` is finite and positive — the serial
+    check (finite arrival rates, positive gaps), since ``mu`` is finite."""
+    return bool(gap.min() > 0 and gap.max() < np.inf)
+
+
+def _stable_rows(gap: np.ndarray) -> np.ndarray:
+    """Per-row :func:`_stable`: the continuous batcher's fault mask."""
+    return ((gap > 0) & (gap < np.inf)).all(axis=1)
+
+
+def _instability(arrivals: np.ndarray, gap: np.ndarray, row_ids=None) -> StabilityError:
+    """The serial engine's error for an evaluation :func:`_stable` rejects;
+    ``row_ids`` maps packed rows back to batch rows."""
+    if not np.all(np.isfinite(arrivals)):
+        return StabilityError("arrival rates must be finite")
+    row, node = np.argwhere(~(gap > 0))[0]
+    if row_ids is not None:
+        row = row_ids[row]
+    return StabilityError(
+        f"M/M/1 unstable in batch (row {row}, node {node}): "
+        "arrival rate >= service rate"
+    )
+
+
+def _masked_means(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-row mean of ``g`` over ``mask``, bit for bit ``g[r, mask[r]].mean()``.
+
+    ``g[mask]`` compacts the active entries row after row.  Rows with the
+    same active count ``m`` (grouped by one stable sort when they are not
+    already in order) then form one contiguous ``(rows, m)`` block, whose
+    row reduction builds the same pairwise summation tree as the 1-D
+    mean of each row.  Rows with no active entry get 0.
+    """
+    counts = np.add.reduce(mask, axis=1).tolist()
+    order = None
+    if counts != sorted(counts):
+        order = sorted(range(len(counts)), key=counts.__getitem__)
+        g, mask = g[order], mask[order]
+        counts.sort()
+    values = g[mask]
+    blocks = []
+    start = 0
+    for m, run in groupby(counts):
+        rows = len(list(run))
+        stop = start + rows * m
+        # An empty (rows, 0) block sums to 0; dividing by 1 keeps it 0.
+        blocks.append(np.add.reduce(values[start:stop].reshape(rows, m), axis=1) / max(m, 1))
+        start = stop
+    means = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if order is None:
+        return means
+    out = np.empty_like(means)
+    out[order] = means
+    return out
+
+
+def _scaled_step(x: np.ndarray, g: np.ndarray, a: np.ndarray):
+    """The :class:`~repro.core.active_set.ScaledStep` policy over a batch.
+
+    ``a`` is the ``(R, 1)`` stepsize column.  Returns ``(dx, x + dx,
+    mask)``; ``mask`` is ``None`` when no node was pinned (every row
+    fully active).  Row ``r`` of ``dx`` is bit-for-bit what
+    ``ScaledStep().apply(x[r], g[r], a[r, 0])`` returns.
+    """
+    n = g.shape[1]
+    dx = a * (g - (np.add.reduce(g, axis=1) / n)[:, None])
+    mask = None
+    # Pin boundary nodes that want to shrink further (the serial pin loop).
+    # A row that pins nothing keeps its step, so from the second round on
+    # only the rows that pinned a node in the round before are rerun.
+    # (An inactive node's step is exactly 0, so ``step < 0`` already
+    # implies it is active.)
+    boundary = x <= _ZERO_TOL
+    if boundary.any():
+        pinned = boundary & (dx < 0)
+        hit = pinned.any(axis=1)
+        if np.count_nonzero(hit):
+            mask = np.ones(g.shape, dtype=bool)
+            rows = hit.nonzero()[0]
+            gr, br, ar = g[rows], boundary[rows], a[rows]
+            pinned = pinned[rows]
+            active = np.ones(pinned.shape, dtype=bool)
+            for _ in range(n):
+                active[pinned] = False
+                step = np.where(
+                    active, ar * (gr - _masked_means(gr, active)[:, None]), 0.0
+                )
+                dx[rows] = step
+                mask[rows] = active
+                pinned = br & (step < 0)
+                hit = pinned.any(axis=1)
+                still = np.count_nonzero(hit)
+                if not still:
+                    break
+                if still < len(rows):
+                    rows, gr, br, ar = rows[hit], gr[hit], br[hit], ar[hit]
+                    active, pinned = active[hit], pinned[hit]
+    # Uniformly shrink violating rows so the worst donor lands exactly at 0,
+    # then absorb any -1e-18 round-off residue into the largest gainer.
+    # (np.fmin skips NaN, so one row's NaN cannot hide another's violation.)
+    x_next = x + dx
+    if np.fmin.reduce(x_next, axis=None) < 0:
+        rows = np.flatnonzero((x_next < 0).any(axis=1))
+        xr, dr = x[rows], dx[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factors = np.where(dr < 0, xr / np.maximum(-dr, 1e-300), np.inf)
+        dr = dr * np.minimum(1.0, factors.min(axis=1))[:, None]
+        xr_next = xr + dr
+        overshoot = np.minimum(xr_next, 0.0)
+        for i in np.flatnonzero((overshoot < 0).any(axis=1)):
+            dr[i] = dr[i] - overshoot[i]
+            dr[i, int(np.argmax(dr[i]))] += overshoot[i].sum()
+            xr_next[i] = xr[i] + dr[i]
+        dx[rows] = dr
+        x_next[rows] = xr_next
+    return dx, x_next, mask
 
 
 def batched_scaled_step(
@@ -189,34 +343,55 @@ def batched_scaled_step(
     Returns ``(dx, active_mask)`` of shape ``(R, N)``; row ``r`` is
     bit-for-bit what ``ScaledStep().apply(x[r], g[r], alpha[r])`` returns.
     """
-    r_count, n = x.shape
-    g = utility_gradient
     a = np.asarray(alpha, dtype=float)[:, None]
-    mask = np.ones((r_count, n), dtype=bool)
-    # Pin boundary nodes that want to shrink further (the serial pin loop).
-    dx = np.where(mask, a * (g - _masked_means(g, mask)[:, None]), 0.0)
-    for _ in range(n):
-        pinned = mask & (x <= _ZERO_TOL) & (dx < 0)
-        if not pinned.any():
-            break
-        mask &= ~pinned
-        dx = np.where(mask, a * (g - _masked_means(g, mask)[:, None]), 0.0)
-    dx[~mask.any(axis=1)] = 0.0
-    # Uniformly shrink violating rows so the worst donor lands exactly at 0.
-    violating = (x + dx < 0).any(axis=1)
-    if violating.any():
-        shrinking = dx < 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factors = np.where(shrinking, x / np.maximum(-dx, 1e-300), np.inf)
-        scale = np.minimum(1.0, factors.min(axis=1))
-        scale[~violating] = 1.0
-        dx = dx * scale[:, None]
-    # Guard round-off: absorb any -1e-18 residue into the largest gainer.
-    overshoot = np.minimum(x + dx, 0.0)
-    for r in np.flatnonzero((overshoot < 0).any(axis=1)):
-        dx[r] = dx[r] - overshoot[r]
-        dx[r, int(np.argmax(dx[r]))] += overshoot[r].sum()
+    dx, _, mask = _scaled_step(x, utility_gradient, a)
+    if mask is None:
+        mask = np.ones(x.shape, dtype=bool)
     return dx, mask
+
+
+def _checked_update(
+    x: np.ndarray,
+    new_x: np.ndarray,
+    *,
+    validate: bool,
+    registry: Optional[MetricsRegistry],
+) -> np.ndarray:
+    """:func:`batched_apply` on an update already formed as ``new_x``
+    (which it may edit in place and returns)."""
+    if not validate:
+        return new_x
+    # NaN-skipping reductions (np.fmax, np.fmin): one row's NaN must not
+    # hide another row's violation.  The min gates the negativity checks.
+    drift = np.abs(np.add.reduce(new_x, axis=1) - np.add.reduce(x, axis=1))
+    if np.fmax.reduce(drift) > 1e-9:
+        r = int(np.argmax(drift))
+        raise AssertionError(
+            f"feasibility broken in batch row {r}: sum moved from "
+            f"{x[r].sum()!r} to {new_x[r].sum()!r}"
+        )
+    if not np.fmin.reduce(new_x, axis=None) < 0.0:
+        return new_x
+    if np.any(new_x < -1e-9):
+        r = int(np.argwhere(new_x < -1e-9)[0, 0])
+        raise AssertionError(
+            f"negative allocation in batch row {r}: min={new_x[r].min()!r}"
+        )
+    for r in np.flatnonzero((new_x < 0.0).any(axis=1)):
+        row = new_x[r]
+        negative = row < 0.0
+        target_sum = float(row.sum())
+        clamped = float(-row[negative].sum())
+        row[negative] = 0.0
+        positive = row > 0.0
+        total = float(row[positive].sum())
+        if total > 0.0:
+            row[positive] -= clamped * (row[positive] / total)
+            row[int(np.argmax(row))] -= row.sum() - target_sum
+        if registry is not None:
+            registry.counter_inc("batched.clamp_events")
+            registry.counter_inc("batched.clamped_mass", clamped)
+    return new_x
 
 
 def batched_apply(
@@ -231,39 +406,14 @@ def batched_apply(
     sub-1e-9 round-off residue (rare; handled per affected row with the
     serial scalar arithmetic).  Shared by the lockstep and continuous
     drivers so both apply exactly the serial update."""
-    new_x = x + dx
-    if validate:
-        drift = np.abs(new_x.sum(axis=1) - x.sum(axis=1))
-        if np.any(drift > 1e-9):
-            r = int(np.argmax(drift))
-            raise AssertionError(
-                f"feasibility broken in batch row {r}: sum moved from "
-                f"{x[r].sum()!r} to {new_x[r].sum()!r}"
-            )
-        if np.any(new_x < -1e-9):
-            r = int(np.argwhere(new_x < -1e-9)[0, 0])
-            raise AssertionError(
-                f"negative allocation in batch row {r}: min={new_x[r].min()!r}"
-            )
-        for r in np.flatnonzero((new_x < 0.0).any(axis=1)):
-            row = new_x[r]
-            negative = row < 0.0
-            target_sum = float(row.sum())
-            clamped = float(-row[negative].sum())
-            row[negative] = 0.0
-            positive = row > 0.0
-            total = float(row[positive].sum())
-            if total > 0.0:
-                row[positive] -= clamped * (row[positive] / total)
-                row[int(np.argmax(row))] -= row.sum() - target_sum
-            if registry is not None:
-                registry.counter_inc("batched.clamp_events")
-                registry.counter_inc("batched.clamped_mass", clamped)
-    return new_x
+    return _checked_update(x, x + dx, validate=validate, registry=registry)
 
 
-def _masked_spread(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-row ``max - min`` of ``g`` over ``mask`` (0 for empty rows)."""
+def _masked_spread(g: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """Per-row ``max - min`` of ``g`` over ``mask`` (0 for empty rows;
+    ``mask=None`` means every node is active)."""
+    if mask is None:
+        return np.maximum.reduce(g, axis=1) - np.minimum.reduce(g, axis=1)
     hi = np.where(mask, g, -np.inf).max(axis=1)
     lo = np.where(mask, g, np.inf).min(axis=1)
     out = hi - lo
@@ -281,6 +431,10 @@ class BatchedResult:
     costs: np.ndarray  #: ``(B,)`` final costs.
     iterations: np.ndarray  #: ``(B,)`` steps applied per row.
     converged: np.ndarray  #: ``(B,)`` bool.
+    #: ``(B,)`` active-set sizes at the final iterates.
+    active_counts: np.ndarray
+    #: ``(B,)`` gradient spreads over the final active sets.
+    spreads: np.ndarray
     #: Per-iteration history (present only with ``keep_history=True``).
     #: ``history_allocations[t][r]`` is row ``r``'s allocation after ``t``
     #: steps; once a row freezes, later entries repeat its final state.
@@ -299,7 +453,8 @@ class BatchedResult:
 
         With history retained the trace contains one record per iteration
         the row was live — exactly the serial allocator's trace; without
-        it the trace holds only the final record.
+        it the trace holds only the final record (its ``alpha`` is NaN:
+        stepsizes are kept only with history).
         """
         trace = Trace()
         its = int(self.iterations[r])
@@ -323,9 +478,9 @@ class BatchedResult:
                     allocation=self.allocations[r].copy(),
                     cost=float(self.costs[r]),
                     utility=-float(self.costs[r]),
-                    gradient_spread=float("nan"),
+                    gradient_spread=float(self.spreads[r]),
                     alpha=float("nan"),
-                    active_count=self.allocations.shape[1],
+                    active_count=int(self.active_counts[r]),
                 )
             )
         return AllocationResult(
@@ -347,6 +502,41 @@ class BatchedResult:
             f"BatchedResult({done}/{self.batch_size} converged, "
             f"max_iterations={int(self.iterations.max())})"
         )
+
+
+class _History:
+    """Per-evaluation ``(B, ...)`` snapshots for ``keep_history=True``.
+
+    The driver's packed live rows are written into batch-shaped state, so
+    a frozen row repeats its final values in every later snapshot.
+    """
+
+    def __init__(self, x: np.ndarray, n: int):
+        b = x.shape[0]
+        self._x = x.copy()
+        self._mask = np.ones((b, n), dtype=bool)
+        self._cost = np.zeros(b)
+        self._spread = np.zeros(b)
+        self._alpha = np.full(b, np.nan)
+        self.allocations: List[np.ndarray] = []
+        self.masks: List[np.ndarray] = []
+        self.costs: List[np.ndarray] = []
+        self.spreads: List[np.ndarray] = []
+        self.alphas: List[np.ndarray] = []
+
+    def record(self, live, x, mask, cost, spread, alpha) -> None:
+        # The stepsize applied to reach this iterate is the one computed
+        # at the previous evaluation (NaN before the first step).
+        self.alphas.append(self._alpha.copy())
+        self._x[live] = x
+        self._mask[live] = True if mask is None else mask
+        self._cost[live] = cost
+        self._spread[live] = spread
+        self._alpha[live] = alpha[:, 0]
+        self.allocations.append(self._x.copy())
+        self.masks.append(self._mask.copy())
+        self.costs.append(self._cost.copy())
+        self.spreads.append(self._spread.copy())
 
 
 class BatchedAllocator:
@@ -418,24 +608,18 @@ class BatchedAllocator:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _alphas(self, x: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
-        """Per-row stepsizes for the selected rows — fixed values, or the
-        batched :class:`DynamicStep` second-order bound."""
-        if self._dynamic is None:
-            return self._fixed_alpha[rows].copy()
+    def _dynamic_alphas(self, g, rows: _Rows, arrivals, gap) -> np.ndarray:
+        """``(R, 1)`` batched :class:`DynamicStep` second-order bounds."""
         dyn = self._dynamic
         dev = g - g.mean(axis=1)[:, None]
         s1 = np.sum(dev**2, axis=1)
-        h = -self.problem.cost_hessian_diag(x, rows)
+        h = -rows.hessian_diag(arrivals, gap)
         s2 = np.sum(h * dev**2, axis=1)
-        out = np.full(x.shape[0], dyn.fallback)
+        out = np.full(g.shape[0], dyn.fallback)
         ok = (s2 < 0) & (s1 != 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             out[ok] = dyn.safety * (-s1[ok] / s2[ok])
-        return out
-
-    def _apply(self, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        return batched_apply(x, dx, validate=self.validate, registry=self.registry)
+        return out[:, None]
 
     # -- full run ---------------------------------------------------------------
 
@@ -464,49 +648,63 @@ class BatchedAllocator:
             )
 
         reg = self.registry
+        # Each row's final state, written when the row freezes.
+        allocations = np.empty((b, n))
+        costs = np.empty(b)
         iterations = np.zeros(b, dtype=int)
-        history: Optional[dict] = None
+        converged = np.zeros(b, dtype=bool)
+        active_counts = np.empty(b, dtype=int)
+        spreads = np.empty(b)
+        history = _History(x, n) if self.keep_history else None
 
         with maybe_timer(reg, "batched.run_seconds"):
-            g = prob.utility_gradient(x)
-            alpha = self._alphas(x, g, slice(None))
-            dx, mask = batched_scaled_step(x, g, alpha)
-            cost = prob.cost(x)
-            spreads = _masked_spread(g, mask)
-            if self.keep_history:
-                history = {
-                    "allocations": [x.copy()],
-                    "masks": [mask.copy()],
-                    "costs": [cost.copy()],
-                    "spreads": [spreads.copy()],
-                    "alphas": [np.full(b, np.nan)],
-                }
-            live = ~(spreads < self.epsilon)
+            # The live rows stay packed: ``live[i]`` is the batch row of
+            # packed row ``i``; every packed array drops a row when it
+            # freezes.
+            live = np.arange(b)
+            rows = prob._rows()
+            fixed = None if self._dynamic else self._fixed_alpha[:, None]
             it = 0
-            while live.any() and it < self.max_iterations:
-                it += 1
-                applied_alpha = alpha.copy()
-                x[live] = self._apply(x[live], dx[live])
-                iterations[live] = it
-                g[live] = prob.utility_gradient(x[live], live)
-                alpha[live] = self._alphas(x[live], g[live], live)
-                dx[live], mask[live] = batched_scaled_step(
-                    x[live], g[live], alpha[live]
+            while True:
+                arrivals, gap = rows.gaps(x)
+                if not _stable(gap):
+                    raise _instability(arrivals, gap, live)
+                g, t = rows.gradient(arrivals, gap)
+                alpha = (
+                    fixed if fixed is not None
+                    else self._dynamic_alphas(g, rows, arrivals, gap)
                 )
-                cost[live] = prob.cost(x[live], live)
-                spreads[live] = _masked_spread(g[live], mask[live])
+                _, x_next, mask = _scaled_step(x, g, alpha)
+                spread = _masked_spread(g, mask)
+                if history is not None:
+                    history.record(live, x, mask, rows.cost(x, t), spread, alpha)
+                done = spread < self.epsilon
+                frozen = done if it < self.max_iterations else np.ones_like(done)
+                if frozen.any():
+                    ids = live[frozen]
+                    allocations[ids] = x[frozen]
+                    costs[ids] = rows.take(frozen).cost(x[frozen], t[frozen])
+                    iterations[ids] = it
+                    converged[ids] = done[frozen]
+                    active_counts[ids] = (
+                        n if mask is None else np.add.reduce(mask[frozen], axis=1)
+                    )
+                    spreads[ids] = spread[frozen]
+                    if frozen.all():
+                        break
+                    keep = ~frozen
+                    live, x, x_next = live[keep], x[keep], x_next[keep]
+                    rows = rows.take(keep)
+                    if fixed is not None:
+                        fixed = fixed[keep]
+                it += 1
+                x = _checked_update(
+                    x, x_next, validate=self.validate, registry=reg
+                )
                 if reg is not None:
                     reg.counter_inc("batched.iterations")
-                    reg.counter_inc("batched.row_iterations", int(live.sum()))
-                if history is not None:
-                    history["allocations"].append(x.copy())
-                    history["masks"].append(mask.copy())
-                    history["costs"].append(cost.copy())
-                    history["spreads"].append(spreads.copy())
-                    history["alphas"].append(applied_alpha)
-                live = live & ~(spreads < self.epsilon)
+                    reg.counter_inc("batched.row_iterations", len(live))
 
-        converged = ~live
         if reg is not None:
             reg.gauge_set("batched.rows", float(b))
             reg.gauge_set("batched.rows_converged", float(converged.sum()))
@@ -518,15 +716,17 @@ class BatchedAllocator:
                 iterations=int(iterations.max()),
             )
         return BatchedResult(
-            allocations=x,
-            costs=cost,
+            allocations=allocations,
+            costs=costs,
             iterations=iterations,
             converged=converged,
-            history_allocations=history["allocations"] if history else None,
-            history_masks=history["masks"] if history else None,
-            history_costs=history["costs"] if history else None,
-            history_spreads=history["spreads"] if history else None,
-            history_alphas=history["alphas"] if history else None,
+            active_counts=active_counts,
+            spreads=spreads,
+            history_allocations=history.allocations if history else None,
+            history_masks=history.masks if history else None,
+            history_costs=history.costs if history else None,
+            history_spreads=history.spreads if history else None,
+            history_alphas=history.alphas if history else None,
         )
 
     def __repr__(self) -> str:

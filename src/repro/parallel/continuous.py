@@ -52,9 +52,11 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.batched import (
     BatchedProblem,
+    _checked_update,
     _masked_spread,
-    batched_apply,
-    batched_scaled_step,
+    _scaled_step,
+    _stable,
+    _stable_rows,
 )
 from repro.utils.validation import check_positive
 
@@ -92,6 +94,14 @@ class RowResult:
             f"RowResult(tag={self.tag!r}, {state}, "
             f"iterations={self.iterations}, cost={self.cost:.6g})"
         )
+
+
+def _selector(ids: np.ndarray):
+    """Index for the slots ``ids`` (ascending): a slice when they are
+    contiguous — every slot occupied, say — so the slot arrays are read
+    and written as views, with no gather or scatter."""
+    first, last = int(ids[0]), int(ids[-1])
+    return slice(first, last + 1) if last - first + 1 == len(ids) else ids
 
 
 @dataclass
@@ -171,8 +181,8 @@ class ContinuousBatcher:
         # other arrays are only meaningful where it is True.
         self._occupied: Optional[np.ndarray] = None
         self._x: Optional[np.ndarray] = None
-        self._dx: Optional[np.ndarray] = None
-        self._cost: Optional[np.ndarray] = None
+        #: ``x + dx``: each row's pending next iterate.
+        self._x_next: Optional[np.ndarray] = None
         self._alpha: Optional[np.ndarray] = None
         self._eps: Optional[np.ndarray] = None
         self._budget: Optional[np.ndarray] = None
@@ -282,8 +292,7 @@ class ContinuousBatcher:
         c = self.capacity
         self._occupied = np.zeros(c, dtype=bool)
         self._x = np.zeros((c, n))
-        self._dx = np.zeros((c, n))
-        self._cost = np.zeros(c)
+        self._x_next = np.zeros((c, n))
         self._alpha = np.zeros(c)
         self._eps = np.zeros(c)
         self._budget = np.zeros(c, dtype=int)
@@ -291,13 +300,18 @@ class ContinuousBatcher:
         self._tags = [None] * c
 
     def _retire(
-        self, slot: int, *, converged: bool, error: Optional[str] = None
+        self,
+        slot: int,
+        *,
+        converged: bool,
+        cost: Optional[float] = None,
+        error: Optional[str] = None,
     ) -> None:
         if error is None:
             result = RowResult(
                 tag=self._tags[slot],
                 allocation=self._x[slot].copy(),
-                cost=float(self._cost[slot]),
+                cost=cost,
                 iterations=int(self._its[slot]),
                 converged=converged,
             )
@@ -336,20 +350,6 @@ class ContinuousBatcher:
                 error=error,
             )
         )
-
-    def _unstable_rows(self, slots: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``slots``: rows whose current iterate would
-        raise :class:`~repro.exceptions.StabilityError` in evaluation.
-
-        The precheck mirrors ``BatchedProblem._gaps`` exactly so a bad
-        row can be failed in isolation instead of poisoning the whole
-        evaluation of its slot-mates.
-        """
-        prob = self._problem
-        arrivals = prob.total_rate[slots] * self._x[slots]
-        finite = np.isfinite(arrivals).all(axis=1)
-        gap_ok = ((prob.mu[slots] - arrivals) > 0).all(axis=1)
-        return ~(finite & gap_ok)
 
     def _admit(self) -> None:
         """Move queued submissions into free slots, evaluating the new
@@ -393,44 +393,52 @@ class ContinuousBatcher:
                     self.registry.counter_inc("continuous.admitted")
             if not admitted:
                 continue
+            # A row already inside tolerance at its start retires with
+            # zero iterations — exactly the lockstep kernel's behavior.
             slots = np.array(admitted, dtype=int)
-            bad = self._unstable_rows(slots)
-            for slot in slots[bad]:
-                self._retire(
-                    int(slot),
-                    converged=False,
-                    error="M/M/1 unstable at the starting allocation: "
-                    "arrival rate >= service rate",
-                )
-            good = slots[~bad]
-            if good.size:
-                self._evaluate(good)
-                # A row already inside tolerance at its start retires with
-                # zero iterations — exactly the lockstep kernel's behavior.
-                self._retire_finished(good)
+            self._advance(
+                slots,
+                _selector(slots),
+                "M/M/1 unstable at the starting allocation: "
+                "arrival rate >= service rate",
+            )
 
-    def _evaluate(self, slots: np.ndarray) -> None:
-        """Gradient/step/cost/spread for the selected rows — one
-        iteration's worth of lookahead state, bit-identical per row to
-        the lockstep kernel's."""
-        prob = self._problem
-        x = self._x[slots]
-        g = prob.utility_gradient(x, slots)
-        alpha = self._alpha[slots].copy()
-        dx, mask = batched_scaled_step(x, g, alpha)
-        self._dx[slots] = dx
-        self._cost[slots] = prob.cost(x, slots)
-        self._last_spreads = (slots, _masked_spread(g, mask))
+    def _advance(self, ids: np.ndarray, sel, unstable: str) -> None:
+        """One row-step's evaluation of the occupied slots ``ids`` at their
+        current iterates: fail unstable rows alone, form every other
+        row's next iterate, and retire the rows that converged or spent
+        their budget.  ``sel`` indexes the slot arrays (see
+        :func:`_selector`).
 
-    def _retire_finished(self, slots: np.ndarray) -> None:
-        stored_slots, spread = self._last_spreads
-        assert stored_slots is slots or np.array_equal(stored_slots, slots)
-        converged = spread < self._eps[slots]
-        exhausted = ~converged & (self._its[slots] >= self._budget[slots])
-        for slot in slots[converged]:
-            self._retire(int(slot), converged=True)
-        for slot in slots[exhausted]:
-            self._retire(int(slot), converged=False)
+        One ``mu - lambda x`` per row gives the fault mask, the gradient,
+        and — only for retiring rows — the cost; everything is
+        bit-identical per row to the lockstep kernel.
+        """
+        rows = self._problem._rows(sel)
+        x = self._x[sel]
+        arrivals, gap = rows.gaps(x)
+        if not _stable(gap):
+            ok = _stable_rows(gap)
+            for slot in ids[~ok]:
+                self._retire(int(slot), converged=False, error=unstable)
+            if not ok.any():
+                return
+            ids = sel = ids[ok]
+            x, arrivals, gap, rows = x[ok], arrivals[ok], gap[ok], rows.take(ok)
+        g, t = rows.gradient(arrivals, gap)
+        _, x_next, mask = _scaled_step(x, g, self._alpha[sel][:, None])
+        self._x_next[sel] = x_next
+        converged = _masked_spread(g, mask) < self._eps[sel]
+        exhausted = ~converged & (self._its[sel] >= self._budget[sel])
+        done = converged | exhausted
+        if not done.any():
+            return
+        cost = np.zeros(len(ids))
+        cost[done] = rows.take(done).cost(x[done], t[done])
+        for i in np.flatnonzero(converged):
+            self._retire(int(ids[i]), converged=True, cost=float(cost[i]))
+        for i in np.flatnonzero(exhausted):
+            self._retire(int(ids[i]), converged=False, cost=float(cost[i]))
 
     # -- the drive loop --------------------------------------------------------
 
@@ -445,33 +453,26 @@ class ContinuousBatcher:
         included), in deterministic slot order.
         """
         self._admit()
-        slots = None if self._occupied is None else np.flatnonzero(self._occupied)
-        if slots is not None and slots.size:
-            self._x[slots] = batched_apply(
-                self._x[slots],
-                self._dx[slots],
+        ids = None if self._occupied is None else self._occupied.nonzero()[0]
+        if ids is not None and ids.size:
+            sel = _selector(ids)
+            self._x[sel] = _checked_update(
+                self._x[sel],
+                self._x_next[sel],
                 validate=self.validate,
                 registry=self.registry,
             )
-            self._its[slots] += 1
+            self._its[sel] += 1
             self._steps += 1
-            self._row_steps += int(slots.size)
+            self._row_steps += int(ids.size)
             if self.registry is not None:
                 self.registry.counter_inc("continuous.steps")
-                self.registry.counter_inc("continuous.row_steps", int(slots.size))
-                self.registry.gauge_set("continuous.occupancy", float(slots.size))
+                self.registry.counter_inc("continuous.row_steps", int(ids.size))
+                self.registry.gauge_set("continuous.occupancy", float(ids.size))
                 self.registry.gauge_set("continuous.capacity", float(self.capacity))
-            bad = self._unstable_rows(slots)
-            for slot in slots[bad]:
-                self._retire(
-                    int(slot),
-                    converged=False,
-                    error="M/M/1 unstable in flight: arrival rate >= service rate",
-                )
-            good = slots[~bad]
-            if good.size:
-                self._evaluate(good)
-                self._retire_finished(good)
+            self._advance(
+                ids, sel, "M/M/1 unstable in flight: arrival rate >= service rate"
+            )
         completed, self._completed = self._completed, []
         return completed
 

@@ -646,6 +646,9 @@ class TestGossipMesh:
         try:
             a.lookaside.insert(record_for("k1"))
             assert wait_until(lambda: len(b.lookaside) == 1)
+            # b can pull k1 through its own link before a's link to b is
+            # up, and peer_down counts only a live link going down.
+            assert wait_until(lambda: a.stats()["gossip"]["peers"][0]["ready"])
 
             b.shutdown()
             assert wait_until(

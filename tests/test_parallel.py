@@ -15,7 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.parallel.batched as batched_module
 from repro.core.algorithm import DecentralizedAllocator
 from repro.core.initials import paper_skewed_allocation, single_node_allocation
 from repro.core.model import FileAllocationProblem
@@ -732,3 +735,178 @@ class TestSolveChains:
         )
         assert results[0] == []
         assert len(results[1]) == 1 and results[1][0].converged
+
+
+def _hop_costs(family: str, n: int) -> np.ndarray:
+    """Unit-link shortest-path costs of a size-``n`` ring, line, star
+    (center 0) or complete graph, in closed form: what
+    ``FileAllocationProblem.from_topology`` computes, without its
+    all-pairs search (slow at n = 150)."""
+    i = np.arange(n)
+    hops = np.abs(i[:, None] - i[None, :]).astype(float)
+    if family == "ring":
+        return np.minimum(hops, n - hops)
+    if family == "line":
+        return hops
+    if family == "star":
+        costs = np.full((n, n), 2.0)
+        costs[0, :] = costs[:, 0] = 1.0
+        np.fill_diagonal(costs, 0.0)
+        return costs
+    return 1.0 - np.eye(n)
+
+
+def _mixed_batch(n: int, seed: int, rows: int = 8):
+    """``rows`` heterogeneous size-``n`` problems (all four topology
+    families, random rates, mu and k) with alternating skewed and
+    single-node starts and per-row stepsizes.  Such a batch pins boundary
+    nodes at different rates, so one pin round holds rows with several
+    different active counts."""
+    rng = np.random.default_rng(seed)
+    families = ("ring", "complete", "star", "line")
+    problems, starts, alphas = [], [], []
+    for i in range(rows):
+        rates = rng.uniform(0.05, 1.0, size=n)
+        rates /= rates.sum() / rng.uniform(0.5, 1.0)
+        problems.append(
+            FileAllocationProblem(
+                _hop_costs(families[i % 4], n), rates,
+                k=float(rng.uniform(0.3, 2.0)), mu=float(rng.uniform(1.4, 3.0)),
+            )
+        )
+        starts.append(
+            paper_skewed_allocation(n) if i % 2 == 0
+            else single_node_allocation(n, (3 * i) % n)
+        )
+        alphas.append(float(rng.uniform(0.1, 0.45)))
+    return problems, np.stack(starts), alphas
+
+
+@pytest.fixture
+def pin_rounds(monkeypatch):
+    """The active counts of every partial-mask round the kernel reduces."""
+    seen = []
+    inner = batched_module._masked_means
+
+    def recording(g, mask):
+        seen.append(mask.sum(axis=1).tolist())
+        return inner(g, mask)
+
+    monkeypatch.setattr(batched_module, "_masked_means", recording)
+    return seen
+
+
+def _assert_mixed_counts(rounds, n: int) -> None:
+    """The batch reached what it was built for: a pin round holding rows
+    of different active counts, with counts summed by NumPy's
+    8-accumulator pairwise tree (8-128 active nodes) and, for n > 128, by
+    its recursive split."""
+    assert any(len(set(counts)) > 1 for counts in rounds)
+    widest = max(max(counts) for counts in rounds)
+    assert widest >= 8
+    if n > 128:
+        assert widest > 128
+
+
+MIXED_SIZES = [12, 24, 150]
+
+
+class TestMaskedMeans:
+    @given(
+        rows=st.integers(1, 12),
+        n=st.integers(1, 200),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_compacted_serial_mean(self, rows, n, density, seed):
+        """Bit for bit ``g[r, mask[r]].mean()`` for every row, over random
+        masks; the magnitudes span six decades, so any other summation
+        order would show in the last bits."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, n))
+        mask = rng.random((rows, n)) < density
+        want = np.array(
+            [g[r, mask[r]].mean() if mask[r].any() else 0.0 for r in range(rows)]
+        )
+        got = batched_module._masked_means(g, mask)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestMixedActiveCounts:
+    """Batches whose pin rounds mix active counts, at sizes where NumPy's
+    pairwise summation is not a plain sequential loop."""
+
+    @pytest.mark.parametrize("n", MIXED_SIZES)
+    def test_lockstep_rows_match_serial(self, n, pin_rounds):
+        problems, starts, alphas = _mixed_batch(n, seed=n)
+        batch = BatchedAllocator(
+            problems, alpha=alphas, epsilon=1e-3, max_iterations=400,
+            keep_history=True,
+        ).run(starts)
+        _assert_mixed_counts(pin_rounds, n)
+        for r, problem in enumerate(problems):
+            serial = DecentralizedAllocator(
+                problem, alpha=alphas[r], epsilon=1e-3, max_iterations=400
+            ).run(starts[r])
+            _assert_rows_equal(batch.row(r), serial)
+
+    @pytest.mark.parametrize("n", MIXED_SIZES)
+    def test_continuous_rows_match_serial(self, n, pin_rounds):
+        problems, starts, alphas = _mixed_batch(n, seed=n, rows=10)
+        cb = ContinuousBatcher(capacity=4, epsilon=1e-3, max_iterations=400)
+        for i, problem in enumerate(problems):
+            cb.submit(problem, alpha=alphas[i], x0=starts[i], tag=i)
+        rows = {r.tag: r for r in cb.drain()}
+        _assert_mixed_counts(pin_rounds, n)
+        for i, problem in enumerate(problems):
+            solo = _solo(
+                problem, alpha=alphas[i], epsilon=1e-3, max_iterations=400,
+                x0=starts[i],
+            )
+            _assert_row_matches_solo(rows[i], solo)
+
+    @pytest.mark.parametrize("n", MIXED_SIZES)
+    def test_chains_match_serial_warm_sweeps(self, n, pin_rounds):
+        problems, starts, alphas = _mixed_batch(n, seed=n)
+        chains = [
+            [ChainLink(problem=p, alpha=alphas[c], epsilon=1e-3,
+                       max_iterations=400, x0=starts[c])
+             for p in problems[c::4]]
+            for c in range(4)
+        ]
+        results = solve_chains(chains)
+        _assert_mixed_counts(pin_rounds, n)
+        for c, chain in enumerate(chains):
+            warm = starts[c]
+            for link, row in zip(chain, results[c]):
+                solo = _solo(
+                    link.problem, alpha=alphas[c], epsilon=1e-3,
+                    max_iterations=400, x0=warm,
+                )
+                _assert_row_matches_solo(row, solo)
+                warm = solo.allocation
+
+    @pytest.mark.parametrize("n", MIXED_SIZES)
+    def test_final_record_without_history_matches_serial(self, n):
+        """Without ``keep_history`` the one trace record ``row(r)`` keeps
+        is the serial run's last record, active count and spread included
+        — also for rows that end with pinned nodes."""
+        problems, starts, alphas = _mixed_batch(n, seed=n)
+        batch = BatchedAllocator(
+            problems, alpha=alphas, epsilon=1e-3, max_iterations=400
+        ).run(starts)
+        pinned_at_end = 0
+        for r, problem in enumerate(problems):
+            serial = DecentralizedAllocator(
+                problem, alpha=alphas[r], epsilon=1e-3, max_iterations=400
+            ).run(starts[r])
+            (got,) = batch.row(r).trace.records
+            want = serial.trace.records[-1]
+            assert got.iteration == want.iteration
+            assert got.cost == want.cost
+            assert got.active_count == want.active_count
+            assert got.gradient_spread == want.gradient_spread
+            assert np.array_equal(got.allocation, want.allocation)
+            pinned_at_end += want.active_count < n
+        assert pinned_at_end > 0
