@@ -312,7 +312,7 @@ def bench_lookaside(*, bases, rounds, nodes, workers) -> dict:
     rows = {}
     for enabled in (False, True):
         with NetServer(
-            port=0, workers=workers, routing="affinity", lookaside=enabled
+            port=0, workers=workers, lookaside=enabled
         ) as server:
             host, port = server.address
             with NetClient(host, port, timeout_s=300.0) as client:

@@ -1,21 +1,20 @@
 """Benchmark continuous batching against group-and-flush dispatch.
 
-The flush dispatcher's weakness is the straggler: a lockstep group runs
-until its *slowest* row converges, so on a mixed-convergence stream the
-batch spends its tail iterations nearly empty.  The continuous batcher
-retires converged rows and refills their slots from the pending queue,
-keeping occupancy — and therefore the amortization of the per-iteration
-dispatch overhead — near capacity for the whole stream.
+Group-and-flush's weakness is the straggler: a lockstep group runs until
+its *slowest* row converges, so on a mixed-convergence stream the batch
+spends its tail iterations nearly empty.  The continuous batcher retires
+converged rows and refills their slots from the pending queue, keeping
+occupancy — and therefore the amortization of the per-iteration dispatch
+overhead — near capacity for the whole stream.
 
-Three claims, each parity-gated before its time is trusted:
+Three measurements, each parity-gated before its time is trusted:
 
 * **mixed-convergence stream** — L same-shape requests whose stepsizes
   span a wide geometric range (per-row iteration counts vary ~50x)
-  dispatched through an ``AllocationService`` in ``batch_mode=
-  "continuous"`` vs ``"flush"``, both at the same slot capacity.  Both
-  must return bit-for-bit identical answers; the req/s ratio plus the
-  occupancy gauges (``continuous.row_steps / (steps * capacity)`` vs
-  ``batched.row_iterations / (iterations * capacity)``) are the result.
+  dispatched through an ``AllocationService`` (continuous batching at
+  slot capacity C).  Every answer must equal the reference serial
+  engine's bit for bit; req/s and the occupancy gauge
+  (``continuous.row_steps / (steps * capacity)``) are the result.
 * **driver occupancy** — the same stream fed straight to
   :class:`~repro.parallel.ContinuousBatcher` vs capacity-sized lockstep
   :class:`~repro.parallel.BatchedAllocator` groups, no service around
@@ -30,8 +29,9 @@ Run standalone:
     PYTHONPATH=src python benchmarks/bench_continuous.py           # full grid
     PYTHONPATH=src python benchmarks/bench_continuous.py --smoke   # CI-sized
 
-Full mode writes ``benchmarks/BENCH_continuous.json``
-(docs/PERFORMANCE.md reads the checked-in copy).  ``--smoke`` shrinks
+Full mode writes ``benchmarks/BENCH_continuous.json``.  The checked-in
+copy is the record of the earlier service, which also ran a flush
+dispatch mode; docs/PERFORMANCE.md reads it.  ``--smoke`` shrinks
 the workload and does not overwrite the JSON unless ``--out`` is given
 explicitly.
 """
@@ -102,28 +102,23 @@ def _time(fn, *, repeats: int):
 
 def bench_stream(n: int, length: int, capacity: int, *, repeats: int) -> dict:
     requests = mixed_requests(n, length)
+    registries = []
 
-    regs = {}
-
-    def run(mode):
-        regs[mode] = MetricsRegistry()
+    def run():
+        # One burst of L requests against C slots: ContinuousBatcher keeps
+        # one C-slot batch full from the backlog.
+        registries.append(MetricsRegistry())
         service = AllocationService(
-            max_batch=capacity, cache_size=0, batch_mode=mode, registry=regs[mode]
+            max_batch=capacity, cache_size=0, registry=registries[-1]
         )
-        # One burst of L requests against C slots: flush splits it into
-        # ceil(L/C) lockstep groups, each running to its slowest row;
-        # continuous keeps one C-slot batch full from the backlog.
         return service.solve_many(requests)
 
-    cont_s, cont = _time(lambda: run("continuous"), repeats=repeats)
-    flush_s, flush = _time(lambda: run("flush"), repeats=repeats)
+    cont_s, cont = _time(run, repeats=repeats)
 
-    # Parity gate: both dispatchers, and the reference serial engine,
-    # must agree bit for bit on every response.
-    for request, c, f in zip(requests, cont, flush):
-        assert c.ok and f.ok, request.request_id
-        assert np.array_equal(c.allocation, f.allocation), request.request_id
-        assert c.cost == f.cost and c.iterations == f.iterations
+    # Parity gate: the service must agree bit for bit with the reference
+    # serial engine on every response.
+    for request, c in zip(requests, cont):
+        assert c.ok, request.request_id
         ref = solve(
             request.problem, alpha=request.alpha, epsilon=request.epsilon,
             max_iterations=request.max_iterations,
@@ -132,10 +127,7 @@ def bench_stream(n: int, length: int, capacity: int, *, repeats: int) -> dict:
         assert np.array_equal(c.allocation, ref.allocation), request.request_id
         assert c.iterations == ref.iterations
 
-    cc = regs["continuous"].counters
-    fc = regs["flush"].counters
-    cont_occ = cc["continuous.row_steps"] / (cc["continuous.steps"] * capacity)
-    flush_occ = fc["batched.row_iterations"] / (fc["batched.iterations"] * capacity)
+    cc = registries[-1].counters
     iters = [r.iterations for r in cont]
     return {
         "n": n,
@@ -144,14 +136,10 @@ def bench_stream(n: int, length: int, capacity: int, *, repeats: int) -> dict:
         "row_iterations_min": int(min(iters)),
         "row_iterations_max": int(max(iters)),
         "continuous_seconds": cont_s,
-        "flush_seconds": flush_s,
         "requests_per_s_continuous": length / cont_s,
-        "requests_per_s_flush": length / flush_s,
-        "speedup_continuous": flush_s / cont_s,
         "continuous_steps": int(cc["continuous.steps"]),
-        "flush_steps": int(fc["batched.iterations"]),
-        "occupancy_continuous": cont_occ,
-        "occupancy_flush": flush_occ,
+        "occupancy_continuous": cc["continuous.row_steps"]
+        / (cc["continuous.steps"] * capacity),
         "parity": True,
     }
 
@@ -279,10 +267,8 @@ def main(argv=None) -> int:
         results["streams"].append(row)
         print(
             f"stream n={n} L={length} C={capacity}: "
-            f"{row['requests_per_s_continuous']:.0f} req/s continuous vs "
-            f"{row['requests_per_s_flush']:.0f} flush "
-            f"({row['speedup_continuous']:.2f}x), occupancy "
-            f"{row['occupancy_continuous']:.2f} vs {row['occupancy_flush']:.2f}"
+            f"{row['requests_per_s_continuous']:.0f} req/s, occupancy "
+            f"{row['occupancy_continuous']:.2f}"
         )
     for n, length, capacity in streams:
         row = bench_driver(n, length, capacity)

@@ -1,38 +1,34 @@
 """Benchmark the sharded socket transport (repro.net).
 
-Three claims are measured, parity-gated before any time is trusted:
+Two claims are measured, parity-gated before any time is trusted:
 
-* **codec parity** — the same pipelined stream is answered bit-for-bit
-  identically over the binary codec, the JSON codec, and the in-process
+* **wire parity** — the same pipelined stream is answered bit-for-bit
+  identically over the binary wire and by the in-process
   :class:`~repro.service.ServiceClient` (only wall-clock latency, and
   the dispatch-dependent ``batch_size``, may differ).  This is asserted
   *before* any throughput number is reported.
 * **throughput vs worker count** — one client pipelines a repeat-heavy
   working set (tiered reuse distances, see ``working_set_stream``)
   through :class:`~repro.net.NetServer` at several worker counts over
-  the binary codec: every frame is in flight before the first response
+  the binary wire: every frame is in flight before the first response
   is read, so shard queues fill and the workers' micro-batchers fuse
   queued misses into lockstep solves (every structure shares one node
   count, so any shard's queue is fully fusible).  Each worker carries
   the same bounded LRU; what grows with the worker count is *aggregate*
   cache over the sharded working set — the locality the affinity router
   exists to exploit, and (on the single-core CI box, where extra
-  processes add no compute) the honest reason the curve rises.  A
-  sequential JSON run at one worker, same workload and cache, reproduces
-  the pre-binary transport as the before/after baseline.
-* **shard-affinity vs random routing** — the same repeat-heavy stream
-  against an ``affinity``-routed and a ``random``-routed server with
-  identical worker counts.  The merged ``service.cache.*`` counters and
-  total solver iterations quantify what locality is worth.
+  processes add no compute) the honest reason the curve rises.
 
 Run standalone:
 
     PYTHONPATH=src python benchmarks/bench_net.py            # full grid
     PYTHONPATH=src python benchmarks/bench_net.py --smoke    # CI-sized
 
-Full mode writes ``benchmarks/BENCH_net.json`` (docs/PERFORMANCE.md
-reads the checked-in copy).  ``--smoke`` shrinks the workload and does
-not overwrite the JSON unless ``--out`` is given explicitly.
+Full mode writes ``benchmarks/BENCH_net.json``.  The checked-in copy is
+the record of the earlier transport, which also timed a JSON wire and a
+random-routing control; docs/PERFORMANCE.md reads it.  ``--smoke``
+shrinks the workload and does not overwrite the JSON unless ``--out`` is
+given explicitly.
 """
 
 from __future__ import annotations
@@ -94,10 +90,10 @@ def distinct_payloads(count: int, *, nodes: int = 6, seed: int = 7) -> list:
 def as_arrays(payload: dict) -> dict:
     """The same payload with float64 ``ndarray`` problem data.
 
-    Binary-codec callers hold arrays, not lists — keeping them as arrays
-    end to end is the codec's point (the packed body is their raw bytes,
-    no per-element conversion).  The JSON legs keep the list form; the
-    parity gate proves both forms get identical answers.
+    Wire callers hold arrays, not lists — keeping them as arrays end to
+    end is the codec's point (the packed body is their raw bytes, no
+    per-element conversion).  The in-process reference keeps the list
+    form; the parity gate proves both forms get identical answers.
     """
     out = dict(payload)
     problem = dict(payload["problem"])
@@ -171,26 +167,23 @@ def comparable(response: dict) -> dict:
     return clean
 
 
-def assert_codec_parity(stream: list) -> dict:
-    """Bit-for-bit response parity: binary wire == JSON wire == local."""
+def assert_wire_parity(stream: list) -> dict:
+    """Bit-for-bit response parity: binary wire == in-process service.
+
+    The wire leg ships ndarray-backed payloads (as the timed runs do);
+    the in-process leg parses the list form.  Equality proves the answer
+    is independent of the transport *and* of how the caller held the
+    problem data."""
     local = ServiceClient(AllocationService(cache_size=0))
     reference = [local.solve_payload(dict(p)) for p in stream]
-    wire = {}
-    for codec in ("binary", "json"):
-        # The binary leg ships ndarray-backed payloads (as the timed runs
-        # do); the JSON leg ships the list form.  Equality across both
-        # proves the answer is independent of codec *and* of how the
-        # caller held the problem data.
-        sendable = [as_arrays(p) if codec == "binary" else dict(p) for p in stream]
-        with NetServer(port=0, workers=2, cache_size=0) as server:
-            host, port = server.address
-            with NetClient(host, port, codec=codec, timeout_s=300.0) as client:
-                wire[codec] = client.solve_payloads(sendable)
-    for codec, responses in wire.items():
-        assert all(r["status"] == "ok" for r in responses), codec
-        for want, have in zip(reference, responses):
-            assert comparable(have) == comparable(want), (codec, have.get("id"))
-    return {"requests": len(stream), "codecs": ["binary", "json"], "ok": True}
+    with NetServer(port=0, workers=2, cache_size=0) as server:
+        host, port = server.address
+        with NetClient(host, port, timeout_s=300.0) as client:
+            responses = client.solve_payloads([as_arrays(p) for p in stream])
+    assert all(r["status"] == "ok" for r in responses)
+    for want, have in zip(reference, responses):
+        assert comparable(have) == comparable(want), have.get("id")
+    return {"requests": len(stream), "ok": True}
 
 
 def run_stream(client: NetClient, stream: list) -> float:
@@ -221,7 +214,7 @@ def bench_throughput(worker_counts: list, stream: list, *, repeats: int) -> list
             cache_size=CACHE_PER_WORKER, max_batch=128,
         ) as server:
             host, port = server.address
-            with NetClient(host, port, codec="binary", timeout_s=300.0) as client:
+            with NetClient(host, port, timeout_s=300.0) as client:
                 run_stream(client, wire_stream)  # warm-up pass, untimed
                 elapsed = min(
                     run_stream(client, wire_stream) for _ in range(repeats)
@@ -231,7 +224,6 @@ def bench_throughput(worker_counts: list, stream: list, *, repeats: int) -> list
         rows.append(
             {
                 "workers": workers,
-                "codec": "binary",
                 "pipelined": True,
                 "requests": len(stream),
                 "seconds": elapsed,
@@ -253,72 +245,11 @@ def bench_throughput(worker_counts: list, stream: list, *, repeats: int) -> list
     return rows
 
 
-def bench_json_sequential(stream: list, *, repeats: int) -> dict:
-    """The pre-binary transport, reproduced: JSON codec, one request in
-    flight at a time, one worker — same workload and same per-worker
-    cache as the binary rows.  The before/after baseline."""
-    with NetServer(port=0, workers=1, cache_size=CACHE_PER_WORKER) as server:
-        host, port = server.address
-        with NetClient(host, port, codec="json", timeout_s=300.0) as client:
-            client.ping()  # connection warm-up outside the clock
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                responses = [client.solve_payload(p) for p in stream]
-                elapsed = time.perf_counter() - start
-                assert all(r["status"] == "ok" for r in responses)
-                best = elapsed if best is None else min(best, elapsed)
-    return {
-        "workers": 1,
-        "codec": "json",
-        "pipelined": False,
-        "requests": len(stream),
-        "seconds": best,
-        "requests_per_second": len(stream) / best,
-    }
-
-
-def bench_routing(workers: int, stream: list) -> dict:
-    """Affinity vs random routing on identical servers and streams: the
-    cache-hit and solver-iteration advantage of shard locality.
-
-    Sequential on purpose: a repeat can only *hit* a cache after its
-    original's result landed, so the stream is played one request at a
-    time — this measures routing locality, not pipelining."""
-    out = {}
-    for policy in ("affinity", "random"):
-        with NetServer(port=0, workers=workers, routing=policy) as server:
-            host, port = server.address
-            with NetClient(host, port, timeout_s=300.0) as client:
-                responses = [client.solve_payload(p) for p in stream]
-                stats = client.stats()
-        assert all(r["status"] == "ok" for r in responses)
-        counters = stats["counters"]
-        out[policy] = {
-            "cache_hit": int(counters.get("service.cache.hit", 0)),
-            "cache_warm": int(counters.get("service.cache.warm", 0)),
-            "cache_miss": int(counters.get("service.cache.miss", 0)),
-            "solver_iterations": int(counters.get("service.solver_iterations", 0)),
-            "routed_per_shard": [s["routed"] for s in stats["shards"]],
-        }
-    affinity, random_ = out["affinity"], out["random"]
-    return {
-        "workers": workers,
-        "requests": len(stream),
-        "affinity": affinity,
-        "random": random_,
-        "hit_advantage": affinity["cache_hit"] - random_["cache_hit"],
-        "iteration_reduction": (
-            random_["solver_iterations"] / max(1, affinity["solver_iterations"])
-        ),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small stream, two worker counts, no JSON unless --out is given",
+        help="small stream, two worker counts, no output file unless --out is given",
     )
     parser.add_argument(
         "--out", default=None,
@@ -334,37 +265,16 @@ def main(argv=None) -> int:
         rounds, repeats = 8, 5
     stream = working_set_stream(rounds)
 
-    parity = assert_codec_parity(repeat_stream(distinct_payloads(4), 2))
-    print(f"parity: binary == json == in-process over {parity['requests']} requests")
+    parity = assert_wire_parity(repeat_stream(distinct_payloads(4), 2))
+    print(f"parity: binary wire == in-process over {parity['requests']} requests")
 
-    print(f"\n{'workers':>8} {'codec':>7} {'mode':>11} {'requests':>9} "
-          f"{'seconds':>9} {'req/s':>9} {'hit rate':>9}")
-    baseline = bench_json_sequential(stream, repeats=repeats)
+    print(f"\n{'workers':>8} {'requests':>9} {'seconds':>9} {'req/s':>9} {'hit rate':>9}")
     throughput = bench_throughput(worker_counts, stream, repeats=repeats)
-    for row in [baseline] + throughput:
-        mode = "pipelined" if row["pipelined"] else "sequential"
-        cache = row.get("cache")
-        hit_rate = f"{cache['hit_rate']:>8.0%}" if cache else f"{'—':>8}"
+    for row in throughput:
         print(
-            f"{row['workers']:>8} {row['codec']:>7} {mode:>11} "
-            f"{row['requests']:>9} {row['seconds']:>8.3f}s "
-            f"{row['requests_per_second']:>9.1f} {hit_rate}"
+            f"{row['workers']:>8} {row['requests']:>9} {row['seconds']:>8.3f}s "
+            f"{row['requests_per_second']:>9.1f} {row['cache']['hit_rate']:>8.0%}"
         )
-    speedup = (
-        throughput[0]["requests_per_second"] / baseline["requests_per_second"]
-    )
-    print(f"binary+pipelining at 1 worker: {speedup:.1f}x the JSON sequential wire")
-
-    routing = bench_routing(worker_counts[-1], stream)
-    print(
-        f"\nrouting ({routing['requests']} requests, {routing['workers']} workers): "
-        f"affinity hit/warm/miss = "
-        f"{routing['affinity']['cache_hit']}/{routing['affinity']['cache_warm']}"
-        f"/{routing['affinity']['cache_miss']}, random = "
-        f"{routing['random']['cache_hit']}/{routing['random']['cache_warm']}"
-        f"/{routing['random']['cache_miss']}; affinity runs "
-        f"{routing['iteration_reduction']:.2f}x fewer solver iterations"
-    )
 
     out = args.out
     if out is None and not args.smoke:
@@ -383,10 +293,7 @@ def main(argv=None) -> int:
                 "smoke": args.smoke,
             },
             "parity": parity,
-            "json_sequential_baseline": baseline,
             "throughput": throughput,
-            "speedup_vs_json_sequential": speedup,
-            "routing": routing,
         }
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out}")

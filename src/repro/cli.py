@@ -244,17 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes, each with its own service + cache",
     )
+    # --routing and --codec each accept only their one value; they stay so
+    # launch lines that spell the policy and the wire out keep working.
     net_serve.add_argument(
-        "--shards", type=int, default=None,
-        help="routing partitions (default: one per worker)",
+        "--routing", choices=["affinity"], default="affinity",
+        help="shard policy: structural-fingerprint affinity (the only one)",
     )
     net_serve.add_argument(
-        "--routing", choices=["affinity", "random"], default="affinity",
-        help="shard policy: structural-fingerprint affinity or random",
-    )
-    net_serve.add_argument(
-        "--codec", choices=["auto", "binary", "json"], default="auto",
-        help="wire protocols to accept: auto serves both on one listener",
+        "--codec", choices=["binary"], default="binary",
+        help="wire protocol: the binary frame (the only one)",
     )
     net_serve.add_argument(
         "--secret", default=None, metavar="SECRET",
@@ -353,10 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=2,
         help="re-send budget per request (transport failures and, with "
         "--retry-restarts on the API, worker restarts share it)",
-    )
-    net_solve.add_argument(
-        "--codec", choices=["binary", "json"], default="binary",
-        help="wire protocol to speak (json for pre-binary servers)",
     )
     net_solve.add_argument(
         "--secret", default=None, metavar="SECRET",
@@ -701,9 +695,6 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
             args.host,
             args.port,
             workers=args.workers,
-            shards=args.shards,
-            routing=args.routing,
-            codec=args.codec,
             secret=args.secret,
             max_batch=args.max_batch,
             cache_size=args.cache_size,
@@ -734,9 +725,6 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
                 "host": host,
                 "port": port,
                 "workers": server.num_workers,
-                "shards": server.num_shards,
-                "routing": args.routing,
-                "codec": args.codec,
                 "auth": args.secret is not None,
                 "server_id": server.server_id,
                 "peers": [f"{h}:{p}" for h, p in server.peer_addresses],
@@ -800,7 +788,6 @@ def _cmd_net_solve(args: argparse.Namespace) -> int:
         port,
         timeout_s=args.timeout,
         retries=args.retries,
-        codec=args.codec,
         secret=args.secret,
     )
     try:

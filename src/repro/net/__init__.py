@@ -7,22 +7,19 @@ puts that service behind a TCP front end and scales it across worker
 processes without giving up what makes the service fast:
 
 * :class:`NetServer` — one :mod:`selectors` event-loop thread owns every
-  socket; each connection speaks the **binary codec**
-  (:mod:`repro.net.binary`: struct-packed headers, raw float64 bodies)
-  or the **JSON codec** (length-prefixed frames, the exact
-  ``repro-fap serve`` wire format) — sniffed from the first bytes, so
-  both kinds share one listener.  Requests route through a
-  :class:`ShardRouter` into *bounded* shard queues dispatched to worker
-  processes, each running its own
+  socket; every connection speaks the binary wire
+  (:mod:`repro.net.binary`: struct-packed headers, raw float64 bodies,
+  plain dicts as JSON bodies inside the same frames).  Requests route
+  through a :class:`ShardRouter` into *bounded* shard queues, one per
+  worker process, each running its own
   :class:`~repro.service.AllocationService` + cache; a full queue
   answers with a structured ``overloaded`` rejection;
 * :class:`ShardRouter` — partitions by the problem's structural
   fingerprint, so repeats hit the cache that stored them and same-shape
-  requests micro-batch together (``policy="random"`` is the
-  locality-free baseline the benchmarks compare against);
+  requests micro-batch together;
 * :class:`NetClient` — connection pooling, request pipelining
   (:meth:`~NetClient.request_many`: many frames in flight per
-  connection, responses matched by request id), per-request deadlines,
+  connection, responses matched by frame id), per-request deadlines,
   one bounded retry budget, optional shared-secret HMAC authentication;
   typed and dict-shaped surfaces mirroring
   :class:`~repro.service.ServiceClient`;
@@ -40,7 +37,9 @@ Robustness is part of the contract: SIGTERM drains gracefully
 rejections), a crashed worker is respawned with in-band
 ``worker_restarted`` errors for exactly the requests it took down, and
 the ``stats`` control verb merges every worker's ``service.*`` metrics
-with the server's ``net.*`` family.
+with the server's ``net.*`` family.  No frame can stop the server: one
+that does not decode, or whose handling fails, closes only the
+connection (or peer link) it arrived on.
 
 Quick start::
 
@@ -64,27 +63,20 @@ docs/COOKBOOK.md ("Serving over the network") and docs/PERFORMANCE.md
 from repro.net.binary import (
     BINARY_MAGIC,
     BINARY_VERSION,
+    MAX_FRAME_BYTES,
     BinaryFrameError,
     BinaryFrameReader,
+    FrameError,
     decode_binary_frames,
     encode_binary_frame,
     send_binary_frame,
 )
 from repro.net.client import (
-    CLIENT_CODECS,
     NetAuthError,
     NetClient,
     NetConnectionError,
     NetError,
     NetTimeout,
-)
-from repro.net.framing import (
-    MAX_FRAME_BYTES,
-    FrameError,
-    FrameReader,
-    decode_frames,
-    encode_frame,
-    send_frame,
 )
 from repro.net.gossip import GOSSIP_OPS, GossipAgent
 from repro.net.lookaside import (
@@ -95,12 +87,7 @@ from repro.net.lookaside import (
 )
 from repro.net.peers import PeerState, parse_peers
 from repro.net.router import ShardRouter, shard_of_key
-from repro.net.server import (
-    REJECT_OVERLOADED,
-    REJECT_SHUTTING_DOWN,
-    SERVER_CODECS,
-    NetServer,
-)
+from repro.net.server import REJECT_OVERLOADED, REJECT_SHUTTING_DOWN, NetServer
 from repro.net.worker import WorkerConfig, WorkerCrashed, WorkerHandle, worker_main
 
 __all__ = [
@@ -108,9 +95,7 @@ __all__ = [
     "BINARY_VERSION",
     "BinaryFrameError",
     "BinaryFrameReader",
-    "CLIENT_CODECS",
     "FrameError",
-    "FrameReader",
     "GOSSIP_OPS",
     "GossipAgent",
     "LookasideTier",
@@ -124,20 +109,16 @@ __all__ = [
     "PeerState",
     "REJECT_OVERLOADED",
     "REJECT_SHUTTING_DOWN",
-    "SERVER_CODECS",
     "ShardRouter",
     "WorkerConfig",
     "WorkerCrashed",
     "WorkerHandle",
     "decode_binary_frames",
-    "decode_frames",
     "donor_record",
     "encode_binary_frame",
-    "encode_frame",
     "params_from_payload",
     "parse_peers",
     "send_binary_frame",
-    "send_frame",
     "shard_of_key",
     "wire_record",
     "worker_main",

@@ -1,8 +1,8 @@
-"""The binary wire codec: struct-packed frames, ``np.frombuffer`` bodies.
+"""The wire codec: struct-packed frames, ``np.frombuffer`` bodies.
 
-The JSON framing (:mod:`repro.net.framing`) spends most of a request's
-wall clock turning float64 arrays into decimal strings and back.  This
-module is the same frame stream with that cost removed:
+Every frame on a :class:`~repro.net.server.NetServer` connection — client
+requests, responses, control verbs, and gossip between servers — is a
+binary frame:
 
 * every frame starts with a **struct-packed header** —
   ``magic (4s) | version (B) | kind (B) | flags (H) | request id (Q) |
@@ -19,25 +19,26 @@ module is the same frame stream with that cost removed:
   on the hot path;
 * everything else (control verbs, hellos, errors, rejections, payloads
   with fields the packed layout does not know) rides as
-  :data:`KIND_JSON` — a JSON body inside a binary frame — so the binary
-  connection can carry *any* dict the JSON protocol can;
+  :data:`KIND_JSON` — a JSON body inside a binary frame — so a
+  connection can carry *any* plain dict;
 * the gossip mesh (:mod:`repro.net.gossip`) reuses the same 20-byte
   header: :data:`KIND_GOSSIP_DIGEST` and :data:`KIND_GOSSIP_PULL` carry
   compact JSON control bodies, while :data:`KIND_GOSSIP_RECORDS` packs
   batches of lookaside donor records — raw float64 parameter and
   allocation vectors — the same way solve bodies pack their arrays.
 
-The first bytes on a connection negotiate the protocol: binary frames
-open with :data:`BINARY_MAGIC` (never an ASCII digit), JSON frames open
-with a decimal length line, and :class:`~repro.net.server.NetServer`
-sniffs which one it is per connection — old JSON clients keep working
-against a binary-capable server.
+Decoding is total: any byte string either decodes to a dict or raises
+:class:`BinaryFrameError` (a :class:`FrameError`).  A stream whose first
+bytes differ from :data:`BINARY_MAGIC` is refused as soon as they
+arrive, so a peer speaking another protocol gets an answer instead of a
+wait for a full header.  Frames larger than :data:`MAX_FRAME_BYTES` are
+refused from the header alone, before any body is buffered.
 
-Parity is the contract, exactly as for the JSON codec: packing a request
-and unpacking it yields a payload whose :func:`~repro.service.codec.parse_request`
-result fingerprints identically to the original's, and an unpacked
-response dict equals the dict the JSON path would have produced
-(float64 survives both codecs bit-for-bit).
+Parity is the contract: packing a request and unpacking it yields a
+payload whose :func:`~repro.service.codec.parse_request` result
+fingerprints identically to the original's, and an unpacked response
+dict equals the dict :meth:`~repro.service.SolveResponse.as_dict`
+produced (float64 survives bit-for-bit).
 """
 
 from __future__ import annotations
@@ -49,21 +50,21 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.net.framing import MAX_FRAME_BYTES, FrameError
+from repro.exceptions import ReproError
 
 __all__ = [
     "BINARY_MAGIC",
     "BINARY_VERSION",
+    "MAX_FRAME_BYTES",
     "BinaryFrameError",
     "BinaryFrameReader",
+    "FrameError",
     "decode_binary_frames",
     "encode_binary_frame",
     "send_binary_frame",
 ]
 
-#: First four bytes of every binary frame.  The leading byte (0xFA) can
-#: never begin a JSON frame (those start with an ASCII digit), which is
-#: what lets one listener serve both protocols.
+#: First four bytes of every binary frame.
 BINARY_MAGIC = b"\xfaFAP"
 
 #: Wire protocol version; bumped on any incompatible layout change.
@@ -103,6 +104,10 @@ _CACHE_NAMES = {code: name for name, code in _CACHE_CODES.items()}
 
 _RECV_CHUNK = 262144
 
+#: Hard cap on one frame's body; a request is ~kilobytes, so this is
+#: three orders of magnitude of headroom.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
 # Packed gossip-record batch: server-id byte length + record count, then
 # per record a front struct — epoch, remaining ttl (NaN = none),
 # iterations, n, key/origin byte lengths — followed by the key and origin
@@ -123,6 +128,10 @@ _PACKED_RESPONSE_KEYS = {
     "id", "status", "allocation", "cost", "iterations", "converged",
     "cache", "batch_size", "latency_s",
 }
+
+
+class FrameError(ReproError):
+    """The byte stream violated the framing protocol."""
 
 
 class BinaryFrameError(FrameError):
@@ -338,7 +347,7 @@ def _unpack_result_body(body: bytes) -> Dict:
     pos = _RESULT_FRONT.size
     id_bytes = body[pos : pos + id_len]
     pos += id_len
-    if (len(body) - pos) % 8:
+    if pos > len(body) or (len(body) - pos) % 8:
         raise BinaryFrameError("result allocation is not a whole float64 array")
     allocation = np.frombuffer(body, dtype=np.float64, offset=pos)
     cache = _CACHE_NAMES.get(flags >> 1)
@@ -482,16 +491,21 @@ def encode_binary_frame(payload: Dict, request_id: int = 0) -> bytes:
 
 
 def _decode_body(kind: int, body: bytes) -> Dict:
-    if kind == KIND_SOLVE:
-        return _unpack_solve_body(body)
-    if kind == KIND_RESULT:
-        return _unpack_result_body(body)
-    if kind == KIND_GOSSIP_RECORDS:
-        return _unpack_gossip_records_body(body)
+    """One frame body as a payload dict; raises :class:`BinaryFrameError`
+    (and nothing else) on any body that does not decode."""
+    try:
+        if kind == KIND_SOLVE:
+            return _unpack_solve_body(body)
+        if kind == KIND_RESULT:
+            return _unpack_result_body(body)
+        if kind == KIND_GOSSIP_RECORDS:
+            return _unpack_gossip_records_body(body)
+    except ValueError as exc:  # bad UTF-8 in a packed string, and the like
+        raise BinaryFrameError(f"corrupt kind-{kind} body: {exc}") from None
     if kind in (KIND_JSON, KIND_GOSSIP_DIGEST, KIND_GOSSIP_PULL):
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise BinaryFrameError(f"frame body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise BinaryFrameError(
@@ -503,8 +517,14 @@ def _decode_body(kind: int, body: bytes) -> Dict:
 
 def _parse_header(buffer, pos: int) -> Optional[Tuple[int, int, int]]:
     """``(kind, request_id, body_length)`` once the header is complete,
-    ``None`` while more bytes are needed.  Raises on a corrupt header."""
+    ``None`` while more bytes are needed.  Raises on a corrupt header —
+    on a wrong magic as soon as the bytes buffered so far differ from
+    :data:`BINARY_MAGIC`, so another protocol is refused without
+    waiting for a full header's worth of bytes."""
     if len(buffer) - pos < HEADER_BYTES:
+        head = bytes(buffer[pos : pos + len(BINARY_MAGIC)])
+        if not BINARY_MAGIC.startswith(head):
+            raise BinaryFrameError(f"bad frame magic {head!r}")
         return None
     magic, version, kind, _flags, request_id, length = _HEADER.unpack_from(
         buffer, pos
@@ -525,8 +545,8 @@ def _parse_header(buffer, pos: int) -> Optional[Tuple[int, int, int]]:
 
 def decode_binary_frames(buffer: bytes) -> Tuple[List[Tuple[Dict, int]], bytes]:
     """Every complete ``(payload, request_id)`` in ``buffer`` plus the
-    unconsumed remainder.  The pure-bytes counterpart of
-    :func:`repro.net.framing.decode_frames`."""
+    unconsumed remainder (the pure-bytes counterpart of
+    :class:`BinaryFrameReader`)."""
     frames: List[Tuple[Dict, int]] = []
     pos = 0
     while True:

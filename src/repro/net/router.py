@@ -14,25 +14,15 @@ lands on one shard: exact repeats hit that shard's cache, near-misses
 find their warm-start donors there, and same-shape requests batch
 together.  Different topologies spread across shards, which is where the
 multi-core win comes from.
-
-``policy="random"`` (seeded, for reproducibility) is the control group:
-the same interface with locality destroyed, used by
-``benchmarks/bench_net.py`` to measure what affinity is worth.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.service.fingerprint import structural_key
 from repro.service.types import SolveRequest
 
 __all__ = ["ShardRouter", "shard_of_key"]
-
-ROUTING_POLICIES = ("affinity", "random")
 
 
 def shard_of_key(key: str, num_shards: int) -> int:
@@ -41,68 +31,47 @@ def shard_of_key(key: str, num_shards: int) -> int:
 
 
 class ShardRouter:
-    """Maps a :class:`~repro.service.types.SolveRequest` to a shard index.
+    """Maps a :class:`~repro.service.types.SolveRequest` to a shard index
+    by structural fingerprint, so repeats and same-shape requests share
+    a shard.
 
     Parameters
     ----------
     num_shards:
         How many partitions to route across (>= 1).
-    policy:
-        ``"affinity"`` (default) routes by structural fingerprint, so
-        repeats and same-shape requests share a shard; ``"random"``
-        routes uniformly (seeded), the baseline that measures what
-        affinity buys.
-    seed:
-        Seed for the ``"random"`` policy's generator.
     """
 
-    def __init__(
-        self, num_shards: int, *, policy: str = "affinity", seed: int = 0
-    ):
+    def __init__(self, num_shards: int):
         if num_shards < 1:
             raise ConfigurationError("num_shards must be >= 1")
-        if policy not in ROUTING_POLICIES:
-            raise ConfigurationError(
-                f"unknown routing policy {policy!r} "
-                f"(expected one of {ROUTING_POLICIES})"
-            )
         self.num_shards = int(num_shards)
-        self.policy = policy
-        self._rng = np.random.default_rng(seed)
         #: Requests routed per shard (mirrors ``net.shard.<i>.routed``).
         self.route_counts = [0] * self.num_shards
 
     def shard_for(self, request: SolveRequest) -> int:
         """The shard that should own ``request``."""
-        if self.policy == "random":
-            return self.shard_for_key("")
-        return self.shard_for_key(structural_key(request.problem))
+        return self.shard_for_key(self.routing_key(request))
 
     def shard_for_key(self, key: str) -> int:
         """The shard owning one structural-key digest.
 
-        The binary wire path routes on a key computed straight from the
-        packed cost-matrix bytes
+        Packed solve bodies route on a key computed straight from the
+        cost-matrix bytes
         (:func:`~repro.service.fingerprint.structural_key_from_matrix`)
-        without building the problem; JSON requests go through
+        without building the problem; JSON-bodied requests go through
         :meth:`shard_for` after parsing.  Both end up here, so the two
-        codecs route one problem to the same shard.
+        body forms route one problem to the same shard.
         """
-        if self.policy == "random":
-            shard = int(self._rng.integers(self.num_shards))
-        else:
-            shard = shard_of_key(key, self.num_shards)
+        shard = shard_of_key(key, self.num_shards)
         self.route_counts[shard] += 1
         return shard
 
-    def routing_key(self, request: SolveRequest) -> Optional[str]:
-        """The affinity key routing is based on (``None`` under random)."""
-        if self.policy == "random":
-            return None
+    def routing_key(self, request: SolveRequest) -> str:
+        """The structural key routing is based on."""
         return structural_key(request.problem)
 
     def __repr__(self) -> str:
         return (
-            f"ShardRouter(num_shards={self.num_shards}, policy={self.policy!r}, "
+            f"ShardRouter(num_shards={self.num_shards}, "
             f"routed={sum(self.route_counts)})"
         )

@@ -8,16 +8,13 @@ in-process library into something real clients connect to:
   non-blocking in one place, so a thousand idle connections cost a
   thousand registrations, not a thousand threads, and a pipelining
   client can keep many requests in flight per connection;
-* each connection speaks the **binary codec** (:mod:`repro.net.binary`,
-  struct-packed headers + raw float64 bodies) or the **JSON codec**
-  (:mod:`repro.net.framing`, the exact ``repro-fap serve`` wire format)
-  — the first bytes decide (binary frames open with
-  :data:`~repro.net.binary.BINARY_MAGIC`, JSON frames with a decimal
-  length line), so old JSON clients keep working unchanged and both
-  kinds can share one listener;
+* every connection speaks the **binary wire** (:mod:`repro.net.binary`:
+  struct-packed headers, raw float64 bodies, plain dicts as JSON bodies
+  inside the same frames); bytes that do not open with
+  :data:`~repro.net.binary.BINARY_MAGIC` are refused in-band at once;
 * a :class:`~repro.net.router.ShardRouter` partitions requests across
   **shards**, each shard a *bounded* FIFO queue owned by one dispatch
-  thread; shards map onto **worker processes** (:mod:`repro.net.worker`),
+  thread and served by one **worker process** (:mod:`repro.net.worker`),
   each running its own :class:`~repro.service.AllocationService` with
   its own cache — so repeats of a problem hit the cache that stored
   them, and same-shape requests micro-batch together.  A full shard
@@ -40,14 +37,14 @@ in-process library into something real clients connect to:
   the requests in flight with it get in-band ``worker_restarted``
   errors; a draining server (SIGTERM) finishes in-flight work and
   answers queued/new requests with structured ``shutting_down``
-  rejections; a malformed frame — JSON or binary — fails one
-  connection, never the server.
+  rejections; a frame that does not decode, or whose handling fails,
+  fails one connection (or peer link), never the server.
 
 Control verbs ride the same frame stream: ``{"op": "stats"}`` returns
 the merged ``service.*`` metrics of every worker plus the server's own
 ``net.*`` family (connections, bytes, per-shard routing and queue
 depth, worker restarts); ``{"op": "ping"}`` is a liveness check;
-``{"op": "hello"}`` negotiates codec and authentication.
+``{"op": "hello"}`` starts authentication.
 """
 
 from __future__ import annotations
@@ -71,9 +68,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.net import binary as _binary
-from repro.net import framing as _framing
-from repro.net.binary import BINARY_MAGIC, BinaryFrameError, encode_binary_frame
-from repro.net.framing import FrameError, encode_frame
+from repro.net.binary import BinaryFrameError, encode_binary_frame
 from repro.net.gossip import GOSSIP_OPS, GossipAgent
 from repro.net.lookaside import LookasideTier
 from repro.net.peers import parse_peers
@@ -91,7 +86,6 @@ __all__ = [
     "NetServer",
     "REJECT_OVERLOADED",
     "REJECT_SHUTTING_DOWN",
-    "SERVER_CODECS",
 ]
 
 #: Rejection reason for requests that arrive at (or are queued in) a
@@ -103,18 +97,17 @@ REJECT_SHUTTING_DOWN = "shutting_down"
 #: its own ``queue_full``).
 REJECT_OVERLOADED = "overloaded"
 
-#: Accepted values for :class:`NetServer`'s ``codec`` parameter:
-#: ``"auto"`` serves both protocols on one listener, ``"binary"`` /
-#: ``"json"`` restrict to one (the other is refused in-band).
-SERVER_CODECS = ("auto", "binary", "json")
-
 _STOP = object()
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
 _RECV_CHUNK = 262144
 
-_ASCII_DIGITS = frozenset(b"0123456789")
+
+def _unhandled(exc: Exception) -> BinaryFrameError:
+    """A frame that decoded but could not be handled, as a frame error —
+    answered like any malformed frame instead of escaping the loop."""
+    return BinaryFrameError(f"frame could not be handled ({type(exc).__name__}: {exc})")
 
 
 @dataclass
@@ -141,13 +134,12 @@ class _PeerLink:
     shared secret) → ``ready``.
     """
 
-    __slots__ = ("index", "sock", "codec", "buffer", "pos", "out", "state",
+    __slots__ = ("index", "sock", "buffer", "pos", "out", "state",
                  "deadline", "dead")
 
     def __init__(self, index: int, sock: socket.socket, deadline: float):
         self.index = index
         self.sock = sock
-        self.codec = "binary"  # peer links always speak binary frames
         self.buffer = bytearray()
         self.pos = 0
         self.out = bytearray()
@@ -160,13 +152,12 @@ class _Connection:
     """Event-loop state for one accepted socket."""
 
     __slots__ = (
-        "sock", "codec", "buffer", "pos", "out", "out_lock",
+        "sock", "buffer", "pos", "out", "out_lock",
         "authed", "nonce", "closing", "dead",
     )
 
     def __init__(self, sock: socket.socket, *, authed: bool):
         self.sock = sock
-        self.codec: Optional[str] = None  # sniffed from the first bytes
         self.buffer = bytearray()
         self.pos = 0
         self.out = bytearray()
@@ -175,11 +166,6 @@ class _Connection:
         self.nonce: Optional[str] = None
         self.closing = False  # flush pending writes, then close
         self.dead = False  # closed; replies are dropped
-
-    def encode(self, payload: Dict, corr_id: int) -> bytes:
-        if self.codec == "binary":
-            return encode_binary_frame(payload, corr_id)
-        return encode_frame(payload)
 
 
 class NetServer:
@@ -192,18 +178,8 @@ class NetServer:
         :attr:`address` after :meth:`start`).
     workers:
         Worker *processes*, each owning one
-        :class:`~repro.service.AllocationService` + cache.
-    shards:
-        Routing partitions (default: one per worker).  More shards than
-        workers is allowed — shard ``s`` is served by worker
-        ``s % workers``.
-    routing:
-        ``"affinity"`` (structural fingerprint; default) or ``"random"``
-        (the locality-free baseline the benchmarks compare against).
-    codec:
-        ``"auto"`` (default) accepts binary and JSON connections on one
-        listener; ``"binary"`` / ``"json"`` refuse the other protocol
-        with an in-band ``codec_disabled`` error.
+        :class:`~repro.service.AllocationService` + cache, and one shard
+        queue (requests route to shards by structural fingerprint).
     secret:
         Optional shared secret.  When set, every connection must pass
         the HMAC challenge/response handshake (``hello`` → ``nonce`` →
@@ -244,7 +220,7 @@ class NetServer:
         lookaside tier are rumor-pushed to every live peer and the tiers
         are periodically reconciled by digest exchange, so one server's
         converged solution warm-starts the whole mesh.  Requires
-        ``lookaside=True`` and a non-JSON codec
+        ``lookaside=True``
         (:class:`~repro.exceptions.ConfigurationError` otherwise).  Peer
         links reuse the HMAC handshake when ``secret`` is set — every
         server in a mesh must share the same secret.
@@ -257,14 +233,6 @@ class NetServer:
     server_id:
         Mesh identity stamped as ``origin`` on records this server
         publishes (default ``"host:port"`` of the bound listener).
-    batch_window_s:
-        How long a shard thread lingers collecting further queued
-        requests (up to ``max_batch``) before dispatching a group to its
-        worker.  ``0.0`` (default) dispatches eagerly — whatever is
-        already queued ships immediately.  A few milliseconds trades
-        that much latency for fuller groups under bursty pipelined
-        load, which the workers' micro-batchers fuse into larger
-        lockstep solves.
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry` for the
         server-side ``net.*`` family; one is created if omitted.
@@ -276,9 +244,6 @@ class NetServer:
         port: int = 0,
         *,
         workers: int = 1,
-        shards: Optional[int] = None,
-        routing: str = "affinity",
-        codec: str = "auto",
         secret: Optional[str] = None,
         max_batch: int = 32,
         cache_size: int = 256,
@@ -295,24 +260,16 @@ class NetServer:
         gossip_budget: int = 262144,
         server_id: Optional[str] = None,
         queue_depth: int = 1024,
-        batch_window_s: float = 0.0,
         default_timeout_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         context=None,
     ):
-        if codec not in SERVER_CODECS:
-            raise ValueError(
-                f"unknown codec {codec!r} (expected one of {SERVER_CODECS})"
-            )
         self.host = host
         self.port = int(port)
         self.num_workers = max(1, int(workers))
-        self.num_shards = int(shards) if shards is not None else self.num_workers
-        self.codec = codec
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.router = ShardRouter(self.num_shards, policy=routing)
+        self.router = ShardRouter(self.num_workers)
         self.queue_depth = max(1, int(queue_depth))
-        self.batch_window_s = max(0.0, float(batch_window_s))
         self.worker_config = WorkerConfig(
             max_batch=max_batch,
             cache_size=cache_size,
@@ -341,11 +298,6 @@ class NetServer:
                 "records, and without --lookaside there is nothing to "
                 "replicate (start with --lookaside as well)"
             )
-        if self.peer_addresses and codec == "json":
-            raise ConfigurationError(
-                "gossip peers speak the binary codec; codec='json' cannot "
-                "join a mesh (use codec='auto' or 'binary')"
-            )
         self.server_id = server_id
         self.gossip_interval_s = float(gossip_interval_s)
         self.gossip_budget = int(gossip_budget)
@@ -353,10 +305,10 @@ class NetServer:
         # Hot-path metric names, built once: the routing path touches two
         # per-shard series per request.
         self._routed_counters = [
-            f"net.shard.{s}.routed" for s in range(self.num_shards)
+            f"net.shard.{s}.routed" for s in range(self.num_workers)
         ]
         self._depth_gauges = [
-            f"net.shard.{s}.queue_depth" for s in range(self.num_shards)
+            f"net.shard.{s}.queue_depth" for s in range(self.num_workers)
         ]
         self._context = context
         self._workers: List[WorkerHandle] = []
@@ -391,7 +343,7 @@ class NetServer:
             WorkerHandle(i, self.worker_config, context=self._context)
             for i in range(self.num_workers)
         ]
-        for shard in range(self.num_shards):
+        for shard in range(self.num_workers):
             self._queues.append(queue.Queue(maxsize=self.queue_depth))
             thread = threading.Thread(
                 target=self._shard_loop, args=(shard,),
@@ -615,11 +567,13 @@ class NetServer:
             return
         self.registry.counter_inc("net.bytes_in", len(chunk))
         conn.buffer += chunk
-        if conn.codec is None and not self._sniff(conn):
-            return
         frames, error = self._extract_frames(conn)
         for payload, corr_id in frames:
-            self._handle_payload(conn, payload, corr_id)
+            try:
+                self._handle_payload(conn, payload, corr_id)
+            except Exception as exc:  # a bad frame fails its connection only
+                error = _unhandled(exc)
+                break
             if conn.closing or conn.dead:
                 return
         if error is not None:
@@ -629,44 +583,6 @@ class NetServer:
                 {"status": "error", "reason": "bad_frame", "detail": str(error)},
             )
 
-    def _sniff(self, conn: _Connection) -> bool:
-        """Decide the connection's codec from its first bytes.  Returns
-        ``True`` once decided; ``False`` while more bytes are needed.  A
-        first byte that can start neither protocol fails the connection
-        in-band (as JSON — the one codec any peer can read)."""
-        first = conn.buffer[0]
-        if first in _ASCII_DIGITS:
-            conn.codec = "json"
-        elif first == BINARY_MAGIC[0]:
-            if len(conn.buffer) < len(BINARY_MAGIC):
-                return False  # wait for the rest of the magic
-            if bytes(conn.buffer[: len(BINARY_MAGIC)]) != BINARY_MAGIC:
-                conn.codec = "json"  # readable error for an unknown peer
-                self.registry.counter_inc("net.bad_frames")
-                self._fail_conn(conn, {
-                    "status": "error", "reason": "bad_frame",
-                    "detail": f"bad frame magic {bytes(conn.buffer[:4])!r}",
-                })
-                return False
-            conn.codec = "binary"
-        else:
-            conn.codec = "json"
-            self.registry.counter_inc("net.bad_frames")
-            self._fail_conn(conn, {
-                "status": "error", "reason": "bad_frame",
-                "detail": "first byte starts neither a binary nor a JSON frame",
-            })
-            return False
-        self.registry.counter_inc(f"net.codec.{conn.codec}")
-        if self.codec != "auto" and conn.codec != self.codec:
-            self.registry.counter_inc("net.rejected.codec_disabled")
-            self._fail_conn(conn, {
-                "status": "error", "reason": "codec_disabled",
-                "detail": f"this server speaks only the {self.codec} codec",
-            })
-            return False
-        return True
-
     def _extract_frames(self, conn: _Connection):
         """``(frames, error)``: every complete ``(payload, corr_id)``
         buffered on ``conn``, consuming by offset (no per-frame buffer
@@ -674,33 +590,21 @@ class NetServer:
         already decoded are still returned — they arrived first and
         deserve answers before the connection is failed."""
         frames = []
-        error: Optional[FrameError] = None
+        error: Optional[BinaryFrameError] = None
         buffer, pos = conn.buffer, conn.pos
         try:
-            if conn.codec == "binary":
-                while True:
-                    parsed = _binary._parse_header(buffer, pos)
-                    if parsed is None:
-                        break
-                    kind, corr_id, length = parsed
-                    start = pos + _binary.HEADER_BYTES
-                    if len(buffer) < start + length:
-                        break
-                    body = bytes(buffer[start : start + length])
-                    frames.append((_binary._decode_body(kind, body), corr_id))
-                    pos = start + length
-            else:
-                while True:
-                    parsed = _framing._parse_prefix(buffer, pos)
-                    if parsed is None:
-                        break
-                    length, start = parsed
-                    if len(buffer) < start + length:
-                        break
-                    body = bytes(buffer[start : start + length])
-                    frames.append((_framing._load_body(body), 0))
-                    pos = start + length
-        except FrameError as exc:  # BinaryFrameError subclasses FrameError
+            while True:
+                parsed = _binary._parse_header(buffer, pos)
+                if parsed is None:
+                    break
+                kind, corr_id, length = parsed
+                start = pos + _binary.HEADER_BYTES
+                if len(buffer) < start + length:
+                    break
+                body = bytes(buffer[start : start + length])
+                frames.append((_binary._decode_body(kind, body), corr_id))
+                pos = start + length
+        except BinaryFrameError as exc:
             error = exc
         if pos == len(buffer):
             buffer.clear()
@@ -721,8 +625,8 @@ class NetServer:
         if conn.dead:
             return None
         try:
-            data = conn.encode(payload, corr_id)
-        except FrameError:
+            data = encode_binary_frame(payload, corr_id)
+        except BinaryFrameError:
             return None  # response too large to frame; nothing useful to send
         with conn.out_lock:
             conn.out += data
@@ -862,7 +766,11 @@ class NetServer:
         frames, error = self._extract_frames(link)
         for payload, _corr_id in frames:
             self._gossip.note_peer_frame(link.index)
-            self._link_frame(link, payload)
+            try:
+                self._link_frame(link, payload)
+            except Exception as exc:  # a bad frame fails its link only
+                error = _unhandled(exc)
+                break
             if link.dead:
                 return
         if error is not None:
@@ -918,7 +826,7 @@ class NetServer:
             return None
         try:
             data = encode_binary_frame(payload, 0)
-        except FrameError as exc:
+        except BinaryFrameError as exc:
             self.registry.counter_inc("net.bad_frames")
             self.registry.event(
                 "net_gossip_encode_error",
@@ -1063,13 +971,6 @@ class NetServer:
                     "detail": "this server is not in a gossip mesh "
                               "(start it with --peers)",
                 })
-            elif conn.codec != "binary":
-                self._reply(conn, corr_id, {
-                    "op": op, "status": "error",
-                    "reason": "gossip_requires_binary",
-                    "detail": "gossip records are packed float64 arrays; "
-                              "connect with the binary codec",
-                })
             else:
                 self._gossip.handle_remote(
                     payload, partial(self._reply, conn, corr_id)
@@ -1084,8 +985,6 @@ class NetServer:
         reply = {
             "op": "hello",
             "status": "ok",
-            "codec": conn.codec,
-            "codecs": ["binary", "json"] if self.codec == "auto" else [self.codec],
             "auth": self._secret is not None,
         }
         if self._secret is not None and not conn.authed:
@@ -1119,8 +1018,8 @@ class NetServer:
 
     def _shard_loop(self, shard: int) -> None:
         q = self._queues[shard]
-        worker = self._workers[shard % self.num_workers]
-        depth_gauge = f"net.shard.{shard}.queue_depth"
+        worker = self._workers[shard]
+        depth_gauge = self._depth_gauges[shard]
         while True:
             item = q.get()
             if item is _STOP:
@@ -1129,31 +1028,13 @@ class NetServer:
             batch = [item]
             # Opportunistic batching: everything already queued (up to the
             # worker's max_batch) ships as one group so the worker's
-            # micro-batcher can fuse compatible requests.  With a batch
-            # window, the thread also lingers up to that long for more to
-            # arrive, so a burst mid-flight fills the group instead of
-            # fragmenting into several small dispatches.
+            # micro-batcher can fuse compatible requests.
             stop_seen = False
-            deadline = (
-                time.monotonic() + self.batch_window_s
-                if self.batch_window_s > 0.0 else None
-            )
             while len(batch) < self.worker_config.max_batch:
                 try:
                     extra = q.get_nowait()
                 except queue.Empty:
-                    # Drain eagerly, linger coarsely: a timed get() would
-                    # wake this thread once per arriving request, so an
-                    # empty queue instead sleeps in ~1 ms slices — the
-                    # event loop decodes a burst wholesale, and the next
-                    # drain picks it up in bulk.
-                    if deadline is None:
-                        break
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        break
-                    time.sleep(min(remaining, 0.001))
-                    continue
+                    break
                 if extra is _STOP:
                     stop_seen = True
                     break
@@ -1258,26 +1139,21 @@ class NetServer:
                     entry["alive"] = worker.alive
             workers.append(entry)
         for shard, q in enumerate(self._queues):
-            self.registry.gauge_set(
-                f"net.shard.{shard}.queue_depth", float(q.qsize())
-            )
+            self.registry.gauge_set(self._depth_gauges[shard], float(q.qsize()))
         merged.merge_snapshot(self.registry.snapshot())
         snapshot = merged.snapshot()
         snapshot["workers"] = workers
         snapshot["shards"] = [
             {
                 "shard": shard,
-                "worker": shard % self.num_workers,
                 "queue_depth": q.qsize(),
                 "routed": self.router.route_counts[shard],
             }
             for shard, q in enumerate(self._queues)
         ]
-        snapshot["routing"] = self.router.policy
         snapshot["lookaside"] = (
             len(self.lookaside) if self.lookaside is not None else None
         )
-        snapshot["codec"] = self.codec
         snapshot["auth"] = self._secret is not None
         snapshot["server_id"] = self.server_id
         snapshot["gossip"] = (
@@ -1292,6 +1168,5 @@ class NetServer:
         )
         return (
             f"NetServer({self.host}:{self.port}, {state}, "
-            f"workers={self.num_workers}, shards={self.num_shards}, "
-            f"routing={self.router.policy!r}, codec={self.codec!r})"
+            f"workers={self.num_workers})"
         )

@@ -29,8 +29,8 @@ including warm starts, active-set shrinkage, and budget-capped rows.
 Because each row carries its *own* stepsize, tolerance, budget, and
 starting iterate, the continuous driver also widens what "batchable"
 means: any two equal-size pure-M/M/1 problems can share slots.  The
-allocation service exploits both properties — see
-:class:`repro.service.AllocationService` (``batch_mode="continuous"``).
+allocation service exploits both properties — every grouped dispatch
+of :class:`repro.service.AllocationService` runs through this class.
 
 :func:`solve_chains` layers warm-started *continuation* on top: each
 chain is a sequence of problems where every link starts from its

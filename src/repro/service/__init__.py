@@ -5,8 +5,7 @@ The subsystem that turns one-shot library calls into a served stream:
 queue, micro-batches compatible requests into one continuous-batching
 :class:`~repro.parallel.ContinuousBatcher` dispatch — converged rows
 retire mid-flight and freed slots refill from the pending queue
-(``batch_mode="flush"`` keeps the PR-4 group-and-flush lockstep
-dispatcher; singletons take the fused fast path) — answers repeats from
+(singletons take the fused fast path) — answers repeats from
 a content-addressed
 :class:`SolutionCache` (exact hits immediately; near-misses warm-started
 from the nearest cached allocation), and sheds overload through
@@ -35,11 +34,9 @@ numbers) cover operation.
 
 from repro.service.admission import AdmissionController
 from repro.service.batcher import (
-    BatchKey,
     ContinuousBatchKey,
     MicroBatch,
     MicroBatcher,
-    batch_key,
     continuous_batch_key,
 )
 from repro.service.cache import EVICTION_POLICIES, CacheEntry, SolutionCache
@@ -78,7 +75,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AllocationService",
-    "BatchKey",
     "CacheEntry",
     "CacheLookup",
     "ContinuousBatchKey",
@@ -97,7 +93,6 @@ __all__ = [
     "SolutionCache",
     "SolveRequest",
     "SolveResponse",
-    "batch_key",
     "continuous_batch_key",
     "iter_request_payloads",
     "parameter_distance",

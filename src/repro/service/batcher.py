@@ -1,34 +1,24 @@
-"""Micro-batching: grouping compatible requests into one lockstep solve.
+"""Micro-batching: grouping compatible requests into one continuous batch.
 
-The batched kernel (:class:`~repro.parallel.BatchedAllocator`) advances B
-independent problems as ``(B, N)`` arrays — its throughput on small
-instances is an order of magnitude over the serial loop, *and* its rows
-are bit-for-bit identical to the serial engine's iterates.  That parity
-is what makes micro-batching safe to apply silently: a request receives
-the identical answer whether it was grouped or solved alone, so batching
-is purely a throughput decision, never a semantics decision.
+The batched kernels advance B independent problems as ``(B, N)`` arrays
+— their throughput on small instances is an order of magnitude over the
+serial loop, *and* their rows are bit-for-bit identical to the serial
+engine's iterates.  That parity is what makes micro-batching safe to
+apply silently: a request receives the identical answer whether it was
+grouped or solved alone, so batching is purely a throughput decision,
+never a semantics decision.
 
-The batcher plans in one of two **modes**, matching the two dispatchers
-the service can run:
-
-* ``mode="flush"`` — group-and-flush onto the lockstep
-  :class:`~repro.parallel.BatchedAllocator`.  Two requests are batchable
-  when the lockstep kernel can host both: same node count ``N`` (rows of
-  one ``(B, N)`` array), pure analytic M/M/1 delay models (the kernel's
-  closed-form evaluation), and same ``epsilon``/``max_iterations`` (the
-  kernel's shared stopping rule and budget — per-row *alpha* and
-  starting iterates vary freely).  Groups split at ``max_batch``.
-* ``mode="continuous"`` — feed the row-staggered
-  :class:`~repro.parallel.ContinuousBatcher`, which carries *per-row*
-  tolerance and budget and retires/refills rows mid-flight.  The
-  compatibility class collapses to :class:`ContinuousBatchKey` — just
-  ``N`` plus pure M/M/1 — and groups are not split: the continuous
-  driver's own ``capacity`` (= ``max_batch``) queues the overflow while
-  keeping slots full.
-
-Everything else — exotic delay models, odd sizes, and in flush mode
-mismatched tolerances — dispatches as a singleton on the fused fast
-path, which satisfies the same parity contract.
+The batcher plans groups for the row-staggered
+:class:`~repro.parallel.ContinuousBatcher`, which carries tolerance,
+budget, stepsize and starting iterate *per row* and retires/refills rows
+mid-flight.  Two requests are batchable when it can host both in one
+``(B, N)`` array: same node count ``N`` and pure analytic M/M/1 delay
+models (the kernel's closed-form evaluation) —
+:class:`ContinuousBatchKey`.  Groups are not split: its own
+``capacity`` (= ``max_batch``) queues the overflow while keeping slots
+full.  Everything else — exotic delay models and odd sizes — dispatches
+as a singleton on the fused fast path, which satisfies the same parity
+contract.
 
 :class:`MicroBatcher` does the grouping; the dispatch window (how long
 the service waits for a batch to fill) is timing policy and lives with
@@ -44,48 +34,25 @@ from repro.exceptions import ConfigurationError
 from repro.service.types import SolveRequest
 
 __all__ = [
-    "BatchKey",
     "ContinuousBatchKey",
     "MicroBatch",
     "MicroBatcher",
-    "batch_key",
     "continuous_batch_key",
 ]
 
 
 @dataclass(frozen=True)
-class BatchKey:
-    """The compatibility class of one request: requests with equal keys
-    can share a lockstep dispatch."""
-
-    n: int
-    epsilon: float
-    max_iterations: int
-
-
-def batch_key(request: SolveRequest) -> Optional[BatchKey]:
-    """``request``'s compatibility class, or ``None`` if it must run alone."""
-    if not request.problem.has_vectorized_evaluate:
-        return None
-    return BatchKey(
-        n=request.problem.n,
-        epsilon=request.epsilon,
-        max_iterations=request.max_iterations,
-    )
-
-
-@dataclass(frozen=True)
 class ContinuousBatchKey:
-    """The (wider) compatibility class under continuous dispatch: the
-    row-staggered driver carries epsilon, budget, alpha, and the starting
-    iterate per row, so only the array width and the closed-form M/M/1
-    evaluation remain shared."""
+    """The compatibility class of one request: the row-staggered batcher
+    carries epsilon, budget, alpha, and the starting iterate per row, so
+    only the array width and the closed-form M/M/1 evaluation are
+    shared."""
 
     n: int
 
 
 def continuous_batch_key(request: SolveRequest) -> Optional[ContinuousBatchKey]:
-    """``request``'s continuous-mode class, or ``None`` if it must run alone."""
+    """``request``'s compatibility class, or ``None`` if it must run alone."""
     if not request.problem.has_vectorized_evaluate:
         return None
     return ContinuousBatchKey(n=request.problem.n)
@@ -97,12 +64,10 @@ class MicroBatch:
 
     ``items`` are whatever the caller queued (the service queues its
     pending-ticket objects; each must expose ``.request``).  ``key`` is
-    a :class:`BatchKey` (flush mode) or :class:`ContinuousBatchKey`
-    (continuous mode), and ``None`` exactly for singleton fallbacks of
-    unbatchable requests.
+    ``None`` exactly for singleton fallbacks of unbatchable requests.
     """
 
-    key: Optional[BatchKey | ContinuousBatchKey]
+    key: Optional[ContinuousBatchKey]
     items: List
 
     @property
@@ -122,64 +87,36 @@ class MicroBatcher:
     Parameters
     ----------
     max_batch:
-        Upper bound on concurrent rows per dispatch: the split size in
-        flush mode, the continuous driver's slot capacity in continuous
-        mode.  1 disables grouping — every request runs the singleton
-        path (the configuration the benchmarks use as the "individual
-        dispatch" baseline).
-    mode:
-        ``"flush"`` (group-and-flush lockstep, the default for direct
-        use) or ``"continuous"`` (row-staggered; what
-        :class:`~repro.service.AllocationService` runs by default).
+        The :class:`~repro.parallel.ContinuousBatcher` slot capacity: the
+        bound on concurrent rows per dispatch.  1 disables grouping —
+        every request runs the singleton path (the configuration the
+        benchmarks use as the "individual dispatch" baseline).
     """
 
-    MODES = ("flush", "continuous")
-
-    def __init__(self, *, max_batch: int = 32, mode: str = "flush"):
+    def __init__(self, *, max_batch: int = 32):
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if mode not in self.MODES:
-            raise ConfigurationError(
-                f"mode must be one of {self.MODES}, got {mode!r}"
-            )
         self.max_batch = int(max_batch)
-        self.mode = mode
 
     def plan(self, items: Sequence) -> List[MicroBatch]:
         """Partition ``items`` (each exposing ``.request``) into batches.
 
         Grouping preserves arrival order within each compatibility class
         and emits classes in first-arrival order, so dispatch order is
-        deterministic for a given queue state.  Flush-mode groups are
-        split at ``max_batch``; continuous-mode groups are not (the
-        driver's slot capacity bounds concurrency instead).  Unbatchable
-        requests become singletons.
+        deterministic for a given queue state.  Groups are not split at
+        ``max_batch`` (the continuous batcher's slot capacity bounds
+        concurrency instead).  Unbatchable requests become singletons.
         """
-        keyer = continuous_batch_key if self.mode == "continuous" else batch_key
         groups: dict = {}
-        order: List = []
         singletons: List[MicroBatch] = []
         for item in items:
-            key = keyer(item.request)
+            key = continuous_batch_key(item.request)
             if key is None or self.max_batch == 1:
                 singletons.append(MicroBatch(key=None, items=[item]))
                 continue
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(item)
-        batches: List[MicroBatch] = []
-        if self.mode == "continuous":
-            for key in order:
-                batches.append(MicroBatch(key=key, items=groups[key]))
-        else:
-            for key in order:
-                members = groups[key]
-                for i in range(0, len(members), self.max_batch):
-                    batches.append(
-                        MicroBatch(key=key, items=members[i : i + self.max_batch])
-                    )
+            groups.setdefault(key, []).append(item)
+        batches = [MicroBatch(key=key, items=members) for key, members in groups.items()]
         return batches + singletons
 
     def __repr__(self) -> str:
-        return f"MicroBatcher(max_batch={self.max_batch}, mode={self.mode!r})"
+        return f"MicroBatcher(max_batch={self.max_batch})"

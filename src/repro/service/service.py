@@ -9,9 +9,10 @@ everything the earlier layers provide:
 * each **pump** drains the queue: expired requests are rejected with a
   structured deadline error, the **solution cache** answers exact hits
   outright and attaches warm-start iterates to near-misses, and the
-  **micro-batcher** groups what remains into lockstep
-  :class:`~repro.parallel.BatchedAllocator` dispatches (singletons take
-  the fused fast path);
+  **micro-batcher** groups what remains into row-staggered
+  :class:`~repro.parallel.ContinuousBatcher` dispatches — converged
+  rows retire mid-flight and freed slots refill from the pending queue
+  (singletons take the fused fast path);
 * every response records how it was produced (cache disposition, batch
   size, queue-to-response latency) and the registry accumulates the
   service's operational story: queue depth, batch occupancy,
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.core.algorithm import solve
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import BatchedAllocator, BatchedProblem, ContinuousBatcher
+from repro.parallel import ContinuousBatcher
 from repro.service.admission import AdmissionController
 from repro.service.batcher import (
     ContinuousBatchKey,
@@ -132,19 +133,14 @@ class AllocationService:
     Parameters
     ----------
     max_batch:
-        Concurrent rows per dispatch — the continuous driver's slot
-        capacity, or the flush split size; 1 disables micro-batching
-        (every request runs the singleton fast path).
-    batch_mode:
-        ``"continuous"`` (default) dispatches grouped requests through
-        the row-staggered :class:`~repro.parallel.ContinuousBatcher`:
-        converged rows retire mid-flight, freed slots refill from the
-        pending queue (including requests submitted *while the batch is
-        solving*, in threaded mode), and requests need only share ``n``
-        to group — per-request epsilon and budget ride along.
-        ``"flush"`` is the PR-4 group-and-flush lockstep dispatcher,
-        kept for comparison benchmarks.  Answers are bit-for-bit
-        identical either way.
+        Concurrent rows per dispatch — the slot capacity of the
+        row-staggered :class:`~repro.parallel.ContinuousBatcher` that
+        grouped requests run through: converged rows retire mid-flight,
+        freed slots refill from the pending queue (including requests
+        submitted *while the batch is solving*, in threaded mode), and
+        requests need only share ``n`` to group — per-request epsilon
+        and budget ride along.  1 disables micro-batching (every request
+        runs the singleton fast path).
     batch_window_s:
         In threaded mode, how long the dispatcher waits after work
         arrives for a batch to fill before dispatching anyway.  Ignored
@@ -199,7 +195,6 @@ class AllocationService:
         self,
         *,
         max_batch: int = 32,
-        batch_mode: str = "continuous",
         batch_window_s: float = 0.0,
         cache: Optional[SolutionCache] = None,
         cache_size: int = 256,
@@ -217,7 +212,7 @@ class AllocationService:
     ):
         self.registry = registry
         self.clock = clock
-        self.batcher = MicroBatcher(max_batch=max_batch, mode=batch_mode)
+        self.batcher = MicroBatcher(max_batch=max_batch)
         self.batch_window_s = float(batch_window_s)
         self.admission = admission if admission is not None else AdmissionController()
         if cache is None:
@@ -374,23 +369,7 @@ class AllocationService:
             )
             self._finish_solved(item, result, batch_size=1)
             return 1
-        if isinstance(batch.key, ContinuousBatchKey):
-            return self._dispatch_continuous(batch)
-        key = batch.key
-        requests = [item.effective_request for item in batch.items]
-        allocator = BatchedAllocator(
-            BatchedProblem.from_problems([r.problem for r in requests]),
-            alpha=[r.alpha for r in requests],
-            epsilon=key.epsilon,
-            max_iterations=key.max_iterations,
-            registry=reg,
-        )
-        batched = allocator.run(
-            np.stack([r.initial_allocation for r in requests])
-        )
-        for row, item in enumerate(batch.items):
-            self._finish_solved(item, batched.row(row), batch_size=batch.size)
-        return batch.size
+        return self._dispatch_continuous(batch)
 
     def _dispatch_continuous(self, batch: MicroBatch) -> int:
         """Row-staggered dispatch: the whole group feeds one
@@ -405,8 +384,8 @@ class AllocationService:
             registry=self.registry,
         )
         # batch_size reported per row = how many requests were in the
-        # group when this row joined it, preserving the flush-mode
-        # meaning ("how many shared my dispatch") for whole-group joins.
+        # group when this row joined it ("how many shared my dispatch"
+        # for whole-group joins).
         sizes: Dict[int, int] = {}
         for item in batch.items:
             sizes[id(item)] = batch.size

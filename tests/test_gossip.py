@@ -36,7 +36,6 @@ from repro.net import (
     NetServer,
     PeerState,
     decode_binary_frames,
-    donor_record,
     encode_binary_frame,
     parse_peers,
     wire_record,
@@ -50,7 +49,7 @@ from repro.net.binary import (
 )
 from repro.obs.registry import MetricsRegistry
 
-from tests.test_net import cross_structure_payloads, varied_payloads
+from tests.test_net import cross_structure_payloads
 
 
 class FakeClock:
@@ -577,8 +576,6 @@ class TestGossipMesh:
     def test_peers_without_lookaside_fail_fast(self):
         with pytest.raises(ConfigurationError, match="lookaside"):
             NetServer(port=0, peers="127.0.0.1:9")
-        with pytest.raises(ConfigurationError, match="binary"):
-            NetServer(port=0, peers="127.0.0.1:9", lookaside=True, codec="json")
         with pytest.raises(ConfigurationError, match="bad peer"):
             NetServer(port=0, peers="no-port", lookaside=True)
 

@@ -13,7 +13,9 @@ contracts the subsystem exists for:
   connection);
 * **drain** — a draining server answers with structured
   ``shutting_down`` rejections, and the CLI pair survives a SIGTERM
-  round trip end to end.
+  round trip end to end;
+* **no frame stops the server** — a frame that does not decode, or whose
+  handling fails, closes its own connection and nothing else.
 """
 
 import json
@@ -32,7 +34,6 @@ import pytest
 from repro.net import (
     BINARY_MAGIC,
     BinaryFrameReader,
-    FrameReader,
     NetAuthError,
     NetClient,
     NetConnectionError,
@@ -40,12 +41,14 @@ from repro.net import (
     NetTimeout,
     REJECT_OVERLOADED,
     REJECT_SHUTTING_DOWN,
-    encode_frame,
-    send_frame,
+    send_binary_frame,
 )
+from repro.net import binary as wire
 from repro.net.worker import ERROR_WORKER_RESTARTED
 from repro.service import AllocationService, ServiceClient
 from repro.service.codec import parse_request
+
+from tests.test_net_unit import raw_frame
 
 
 def ring_payload(i=0, *, nodes=4, mu=1.5, alpha=0.3, start="skewed"):
@@ -144,79 +147,42 @@ class TestLoopbackParity:
                 many = client.solve_many([parse_request(ring_payload(i)) for i in (1, 2)])
                 assert [r.request_id for r in many] == ["r1", "r2"]
                 stats = client.stats()
-        assert stats["routing"] == "affinity"
+        assert [s["shard"] for s in stats["shards"]] == [0]
         assert [w["alive"] for w in stats["workers"]] == [True]
-
-    def test_random_routing_spreads_repeats(self):
-        with NetServer(port=0, workers=2, routing="random") as server:
-            host, port = server.address
-            with NetClient(host, port) as client:
-                for i in range(12):
-                    client.solve_payload(ring_payload(i))
-                stats = client.stats()
-        routed = [s["routed"] for s in stats["shards"]]
-        assert sum(routed) == 12
-        assert min(routed) > 0  # locality destroyed across shards
 
 
 class TestCodecNegotiation:
-    """One listener, two protocols: the first bytes of a connection
-    decide, and both codecs produce identical answers."""
-
-    def test_binary_and_json_clients_share_one_server(self):
-        payloads = varied_payloads(6)
-        with NetServer(port=0, workers=2) as server:
-            host, port = server.address
-            with NetClient(host, port, codec="binary") as binary_client, \
-                    NetClient(host, port, codec="json") as json_client:
-                got_binary = [binary_client.solve_payload(dict(p)) for p in payloads]
-                got_json = [json_client.solve_payload(dict(p)) for p in payloads]
-                stats = binary_client.stats()
-        for b, j in zip(got_binary, got_json):
-            assert b["status"] == "ok"
-            # The JSON client repeats what the binary client already
-            # solved, so its answers may be cache hits (iterations 0);
-            # the *answer* — allocation and cost — is bit-for-bit equal.
-            keep = ("id", "status", "allocation", "cost")
-            assert {k: b[k] for k in keep} == {k: j[k] for k in keep}
-        counters = stats["counters"]
-        assert counters["net.codec.binary"] >= 1
-        assert counters["net.codec.json"] >= 1
+    """The handshake verb and the header checks every connection's first
+    frame goes through."""
 
     def test_hello_reports_negotiation(self):
         with NetServer(port=0, workers=1) as server:
             host, port = server.address
-            with NetClient(host, port, codec="binary") as client:
+            with NetClient(host, port) as client:
                 reply = client.request({"op": "hello"})
         assert reply["status"] == "ok"
-        assert reply["codec"] == "binary"
-        assert reply["codecs"] == ["binary", "json"]
         assert reply["auth"] is False
 
     def test_single_codec_server_refuses_the_other_protocol(self):
-        with NetServer(port=0, workers=1, codec="binary") as server:
-            host, port = server.address
-            with NetClient(host, port, codec="json", retries=0) as client:
-                reply = client.request({"op": "ping"})
-                assert reply["status"] == "error"
-                assert reply["reason"] == "codec_disabled"
-            with NetClient(host, port, codec="binary") as client:
-                assert client.ping()
-        with NetServer(port=0, workers=1, codec="json") as server:
-            host, port = server.address
-            with NetClient(host, port, codec="binary", retries=0) as client:
-                reply = client.request({"op": "ping"})
-                assert reply["status"] == "error"
-                assert reply["reason"] == "codec_disabled"
+        # net-serve is configured for the binary wire (and affinity
+        # routing) only; a JSON frame on the wire is refused in-band, see
+        # TestClientRobustness.test_malformed_frame_fails_only_that_connection.
+        for flag, value in (("--codec", "json"), ("--routing", "random")):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "net-serve", flag, value],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert result.returncode == 2
+            assert "invalid choice" in result.stderr
 
     def test_malformed_binary_header_fails_only_that_connection(self):
         with NetServer(port=0, workers=1) as server:
             host, port = server.address
             bad = socket.create_connection((host, port), timeout=5.0)
             try:
-                # Valid magic, absurd version: sniffs as binary, then the
-                # header parse fails and the error comes back in-band as
-                # a binary frame before the server closes the connection.
+                # Valid magic, absurd version: the header parse fails and
+                # the error comes back in-band as a binary frame before
+                # the server closes the connection.
                 bad.sendall(BINARY_MAGIC + b"\xff" + b"\x00" * 40)
                 reader = BinaryFrameReader(bad)
                 reply, _rid = reader.read()
@@ -226,20 +192,20 @@ class TestCodecNegotiation:
                 assert reader.read() is None  # server closed it
             finally:
                 bad.close()
-            # The server itself is fine, for both codecs.
-            with NetClient(host, port, codec="binary") as client:
-                assert client.ping()
-            with NetClient(host, port, codec="json") as client:
+            # The server itself is fine.
+            with NetClient(host, port) as client:
                 assert client.ping()
 
 
 class TestAuth:
-    def test_both_codecs_authenticate_with_the_right_secret(self):
+    def test_right_secret_authenticates(self):
+        # A packed solve body and a JSON-bodied one take different server
+        # paths after the auth gate; both are served once authenticated.
         with NetServer(port=0, workers=1, secret="s3cret") as server:
             host, port = server.address
-            for codec in ("binary", "json"):
-                with NetClient(host, port, codec=codec, secret="s3cret") as client:
-                    response = client.solve_payload(ring_payload())
+            for payload in (varied_payloads(1)[0], ring_payload()):
+                with NetClient(host, port, secret="s3cret") as client:
+                    response = client.solve_payload(payload)
                     assert response["status"] == "ok"
             with NetClient(host, port, secret="s3cret") as client:
                 stats = client.stats()
@@ -276,7 +242,7 @@ class TestPipelining:
         expected = [local.solve_payload(dict(p)) for p in payloads]
         with NetServer(port=0, workers=2) as server:
             host, port = server.address
-            with NetClient(host, port, codec="binary") as client:
+            with NetClient(host, port) as client:
                 got = client.solve_payloads([dict(p) for p in payloads])
         assert [r["id"] for r in got] == [p["id"] for p in payloads]
         for want, have in zip(expected, got):
@@ -287,26 +253,6 @@ class TestPipelining:
             skip = ("latency_s", "batch_size", "cache")
             assert {k: v for k, v in have.items() if k not in skip} == \
                 {k: v for k, v in want.items() if k not in skip}
-
-    def test_json_burst_matches_by_payload_id(self):
-        payloads = varied_payloads(8, seed=6)
-        with NetServer(port=0, workers=2) as server:
-            host, port = server.address
-            with NetClient(host, port, codec="json") as client:
-                got = client.solve_payloads([dict(p) for p in payloads])
-        assert [r["id"] for r in got] == [p["id"] for p in payloads]
-        assert all(r["status"] == "ok" for r in got)
-
-    def test_burst_without_ids_gets_client_assigned_ids(self):
-        payloads = [dict(ring_payload(i)) for i in range(4)]
-        for p in payloads:
-            del p["id"]
-        with NetServer(port=0, workers=1) as server:
-            host, port = server.address
-            with NetClient(host, port, codec="json") as client:
-                got = client.solve_payloads(payloads)
-        assert all(r["status"] == "ok" for r in got)
-        assert all(r["id"].startswith("cli-") for r in got)
 
 
 class TestBackpressure:
@@ -320,18 +266,20 @@ class TestBackpressure:
             host, port = server.address
             sock = socket.create_connection((host, port), timeout=30.0)
             try:
-                send_frame(sock, slow)
+                send_binary_frame(sock, slow, 1)
                 time.sleep(0.5)  # worker picked it up; queue is empty
-                send_frame(sock, ring_payload(1))
+                send_binary_frame(sock, ring_payload(1), 2)
                 time.sleep(0.2)  # now parked in the bounded shard queue
-                send_frame(sock, ring_payload(2))
-                reader = FrameReader(sock)
-                replies = [reader.read() for _ in range(3)]
+                send_binary_frame(sock, ring_payload(2), 3)
+                reader = BinaryFrameReader(sock)
+                frames = [reader.read() for _ in range(3)]
             finally:
                 sock.close()
             stats = server.stats()
+        replies = [payload for payload, _ in frames]
         # The rejection arrived first: the server answered it while the
         # worker was still grinding on the slow solve.
+        assert frames[0][1] == 3  # echoed frame id of the third request
         assert replies[0]["id"] == "r2"
         assert replies[0]["status"] == "rejected"
         assert replies[0]["reason"] == REJECT_OVERLOADED
@@ -458,21 +406,21 @@ class TestClientRobustness:
 
         def flaky_server():
             first, _ = listener.accept()
-            FrameReader(first).read()
+            BinaryFrameReader(first).read()
             first.close()  # mid-request drop
             second, _ = listener.accept()
-            payload = FrameReader(second).read()
-            send_frame(second, {"id": payload.get("id", ""), "status": "ok",
-                                "allocation": [1.0], "cost": 0.0,
-                                "iterations": 0, "converged": True})
+            payload, request_id = BinaryFrameReader(second).read()
+            send_binary_frame(second, {"id": payload.get("id", ""), "status": "ok",
+                                       "allocation": [1.0], "cost": 0.0,
+                                       "iterations": 0, "converged": True},
+                              request_id)
             second.close()
 
         thread = threading.Thread(target=flaky_server, daemon=True)
         thread.start()
         try:
-            # codec="json": the fake server above reads JSON frames.
             with NetClient(host, port, timeout_s=10.0, retries=2,
-                           backoff_s=0.01, codec="json") as client:
+                           backoff_s=0.01) as client:
                 response = client.solve_payload(ring_payload())
                 assert response["status"] == "ok"
                 assert client.metrics["retries"] == 1
@@ -498,20 +446,106 @@ class TestClientRobustness:
             assert client.metrics["retries"] == 1
 
     def test_malformed_frame_fails_only_that_connection(self):
+        legacy_json_ping = b'13\n{"op":"ping"}'  # 16 bytes: less than a header
         with NetServer(port=0, workers=1) as server:
             host, port = server.address
-            bad = socket.create_connection((host, port), timeout=5.0)
-            try:
-                bad.sendall(b"x" * 64)  # no length line within 32 bytes
-                reply = FrameReader(bad).read()
-                assert reply["status"] == "error"
-                assert reply["reason"] == "bad_frame"
-                assert FrameReader(bad).read() is None  # server closed it
-            finally:
-                bad.close()
+            for garbage in (b"x" * 64, legacy_json_ping):
+                bad = socket.create_connection((host, port), timeout=5.0)
+                try:
+                    bad.sendall(garbage)
+                    reader = BinaryFrameReader(bad)
+                    reply, _rid = reader.read()
+                    assert reply["status"] == "error"
+                    assert reply["reason"] == "bad_frame"
+                    assert "magic" in reply["detail"]
+                    assert reader.read() is None  # server closed it
+                finally:
+                    bad.close()
             # The server itself is fine.
             with NetClient(host, port) as client:
                 assert client.ping()
+                assert client.stats()["counters"]["net.bad_frames"] == 2
+
+
+def _json_frame(payload):
+    return raw_frame(wire.KIND_JSON, json.dumps(payload).encode())
+
+
+def _solve_with_non_utf8_id():
+    frame = bytearray(wire.encode_binary_frame(dict(varied_payloads(1)[0], id="x")))
+    frame[wire.HEADER_BYTES + wire._SOLVE_FRONT.size] = 0xFF  # the id's one byte
+    return bytes(frame)
+
+
+#: Single frames whose decoding or handling raises.  Each must fail only
+#: its own connection: frames are decoded before any authentication
+#: check, so any client could send one.
+LOOP_KILLERS = {
+    "solve-id-not-utf8": _solve_with_non_utf8_id(),
+    "result-id-overruns-body": raw_frame(
+        wire.KIND_RESULT, wire._RESULT_FRONT.pack(1.0, 0.0, 3, 1, 0, 8)
+    ),
+    "gossip-server-id-not-utf8": raw_frame(
+        wire.KIND_GOSSIP_RECORDS, wire._GOSSIP_BATCH_FRONT.pack(1, 0) + b"\xff"
+    ),
+    "json-nested-too-deep": raw_frame(wire.KIND_JSON, b"[" * 100_000),
+    "gossip-digest-bad-bucket": _json_frame(
+        {"op": "gossip_digest", "buckets": {"x": [1]}}
+    ),
+    "gossip-records-not-dicts": _json_frame({"op": "gossip_records", "records": [5]}),
+    "gossip-record-without-iterations": _json_frame({
+        "op": "gossip_records",
+        "records": [{"key": "k", "n": 1, "params": [1.0, 1.0, 1.0], "allocation": [1.0]}],
+    }),
+}
+
+
+class TestNoFrameStopsTheServer:
+    @pytest.mark.parametrize("name", sorted(LOOP_KILLERS))
+    def test_bad_frame_fails_only_its_connection(self, name):
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        dead_peer = "127.0.0.1:%d" % probe.getsockname()[1]
+        probe.close()
+        # Gossip on (its peer is down), so the gossip handlers run too.
+        with NetServer(port=0, workers=1, lookaside=True, peers=dead_peer) as server:
+            host, port = server.address
+            bad = socket.create_connection((host, port), timeout=5.0)
+            try:
+                bad.sendall(LOOP_KILLERS[name])
+                reader = BinaryFrameReader(bad)
+                reply, _rid = reader.read()
+                assert reply["reason"] == "bad_frame", reply
+                assert reader.read() is None  # server closed it
+            finally:
+                bad.close()
+            with NetClient(host, port, retries=0) as client:
+                assert client.ping()
+                assert client.stats()["counters"]["net.bad_frames"] == 1
+
+    def test_bad_frame_from_a_peer_fails_only_that_link(self):
+        fake_peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        fake_peer.bind(("127.0.0.1", 0))
+        fake_peer.listen(4)
+        fake_peer.settimeout(10.0)
+        peer = "127.0.0.1:%d" % fake_peer.getsockname()[1]
+        try:
+            with NetServer(port=0, workers=1, lookaside=True, peers=peer,
+                           gossip_interval_s=0.05) as server:
+                link, _ = fake_peer.accept()  # the server's outbound link
+                try:
+                    link.settimeout(10.0)
+                    link.sendall(LOOP_KILLERS["gossip-records-not-dicts"])
+                    while link.recv(65536):  # heartbeats, then EOF
+                        pass
+                finally:
+                    link.close()
+                with NetClient(*server.address, retries=0) as client:
+                    assert client.ping()
+                    counters = client.stats()["counters"]
+        finally:
+            fake_peer.close()
+        assert counters["net.gossip.peer_down"] >= 1
 
 
 class TestNetCli:
@@ -519,7 +553,8 @@ class TestNetCli:
         metrics_path = tmp_path / "net_stats.json"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "net-serve", "--port", "0",
-             "--workers", "2", "--metrics-out", str(metrics_path)],
+             "--workers", "2", "--routing", "affinity", "--codec", "binary",
+             "--metrics-out", str(metrics_path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:

@@ -27,7 +27,7 @@ from repro.service import (
     ServiceClient,
     SolutionCache,
     SolveRequest,
-    batch_key,
+    continuous_batch_key,
     parameter_distance,
     parameter_vector,
     problem_fingerprint,
@@ -252,22 +252,26 @@ class _Item:
 
 class TestMicroBatcher:
     def test_groups_by_compatibility_and_splits(self):
+        # Incompatible requests split off; one class stays one group even
+        # past max_batch (ContinuousBatcher's slots bound concurrency).
         items = [_Item(r) for r in seeded_requests(5)]
         items.append(_Item(SolveRequest(problem=ring_problem(5))))  # different n
         items.append(_Item(SolveRequest(problem=md1_problem())))  # unbatchable
+        items.append(_Item(seeded_requests(1, seed=9)[0]))  # joins the first class
         batches = MicroBatcher(max_batch=3).plan(items)
-        sizes = [b.size for b in batches]
-        assert sizes == [3, 2, 1, 1]
-        assert batches[0].key is not None and batches[0].key == batches[1].key
+        assert [b.size for b in batches] == [6, 1, 1]
+        assert batches[0].key is not None and batches[1].key is not None
+        assert batches[0].key != batches[1].key
         assert batches[-1].key is None  # the MD1 singleton
         # Arrival order preserved within the compatibility class.
-        assert batches[0].items == items[:3] and batches[1].items == items[3:5]
+        assert batches[0].items == items[:5] + items[7:]
 
-    def test_epsilon_splits_classes(self):
+    def test_epsilon_does_not_split_classes(self):
+        # Tolerance and budget ride per row in ContinuousBatcher.
         a = _Item(SolveRequest(problem=ring_problem(), epsilon=1e-3))
-        b = _Item(SolveRequest(problem=ring_problem(), epsilon=1e-4))
+        b = _Item(SolveRequest(problem=ring_problem(), epsilon=1e-4, max_iterations=50))
         batches = MicroBatcher(max_batch=8).plan([a, b])
-        assert [x.size for x in batches] == [1, 1]
+        assert [x.size for x in batches] == [2]
 
     def test_max_batch_one_disables_grouping(self):
         items = [_Item(r) for r in seeded_requests(3)]
@@ -276,8 +280,8 @@ class TestMicroBatcher:
         assert all(b.key is None for b in batches)
 
     def test_unbatchable_key_is_none(self):
-        assert batch_key(SolveRequest(problem=md1_problem())) is None
-        assert batch_key(SolveRequest(problem=ring_problem())) is not None
+        assert continuous_batch_key(SolveRequest(problem=md1_problem())) is None
+        assert continuous_batch_key(SolveRequest(problem=ring_problem())) is not None
 
 
 class TestDispatchParity:
@@ -688,21 +692,21 @@ def _overloaded_problem(n=4):
 
 
 class TestContinuousDispatch:
-    """The PR-7 default: grouped requests run through the row-staggered
-    ContinuousBatcher instead of group-and-flush lockstep — same
-    bit-for-bit answers, wider compatibility, per-row fault isolation."""
+    """Grouped requests run through the row-staggered ContinuousBatcher:
+    bit-for-bit answers, wide compatibility, per-row fault isolation."""
 
     def test_continuous_is_the_default_mode(self):
-        assert AllocationService().batcher.mode == "continuous"
-        assert AllocationService(batch_mode="flush").batcher.mode == "flush"
-        with pytest.raises(ConfigurationError, match="mode"):
-            AllocationService(batch_mode="ragged")
+        registry = MetricsRegistry()
+        service = AllocationService(max_batch=8, cache_size=0, registry=registry)
+        service.solve_many(seeded_requests(4, seed=2))
+        assert registry.counters["continuous.admitted"] == 4
+        assert "batched.iterations" not in registry.counters  # no lockstep run
 
     def test_mixed_epsilon_and_budget_share_one_dispatch(self):
-        # Flush mode needs equal epsilon/max_iterations to group; the
-        # continuous driver carries both per row, so these four requests
-        # — two tolerances, two budgets — form ONE batch and still match
-        # their own solo reference solves exactly.
+        # ContinuousBatcher carries epsilon and max_iterations per row,
+        # so these four requests — two tolerances, two budgets —
+        # form ONE batch and still match their own solo reference solves
+        # exactly.
         requests = [
             SolveRequest(problem=p, alpha=a, epsilon=e, max_iterations=m)
             for p, a, e, m in zip(
@@ -753,35 +757,6 @@ class TestContinuousDispatch:
             assert response.ok
             assert np.array_equal(response.allocation, ref.allocation)
             assert response.iterations == ref.iterations
-
-    def test_flush_mode_still_flushes(self):
-        # The PR-4 dispatcher stays available for comparison: equal keys
-        # group-and-flush through the lockstep kernel, mixed epsilon
-        # splits into separate dispatches.
-        requests = seeded_requests(4, seed=2)
-        registry = MetricsRegistry()
-        service = AllocationService(
-            max_batch=8, cache_size=0, registry=registry, batch_mode="flush"
-        )
-        responses = service.solve_many(requests)
-        assert registry.counters["service.batches"] == 1
-        assert "continuous.steps" not in registry.counters
-        for request, response in zip(requests, responses):
-            ref = reference_solve(request)
-            assert np.array_equal(response.allocation, ref.allocation)
-            assert response.iterations == ref.iterations
-
-    def test_flush_and_continuous_answers_are_identical(self):
-        requests = seeded_requests(6, seed=13)
-        flush = AllocationService(
-            max_batch=8, cache_size=0, batch_mode="flush"
-        ).solve_many(requests)
-        requests2 = seeded_requests(6, seed=13)
-        cont = AllocationService(max_batch=8, cache_size=0).solve_many(requests2)
-        for a, b in zip(flush, cont):
-            assert np.array_equal(a.allocation, b.allocation)
-            assert a.cost == b.cost
-            assert a.iterations == b.iterations
 
     def test_claim_compatible_takes_only_matching_pending(self):
         from repro.service import ContinuousBatchKey, continuous_batch_key
