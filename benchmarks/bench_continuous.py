@@ -160,30 +160,28 @@ def bench_driver(n: int, length: int, capacity: int) -> dict:
     stats = driver.occupancy_stats()
 
     def run_flush():
-        results = []
-        for i in range(0, length, capacity):
-            group = requests[i : i + capacity]
-            batched = BatchedAllocator(
+        return [
+            BatchedAllocator(
                 BatchedProblem.from_problems([r.problem for r in group]),
                 alpha=[r.alpha for r in group],
                 epsilon=EPSILON,
                 max_iterations=MAX_ITERATIONS,
             ).run(np.stack([r.initial_allocation for r in group]))
-            results.extend(batched.row(j) for j in range(len(group)))
-        return results
+            for group in (
+                requests[i : i + capacity] for i in range(0, length, capacity)
+            )
+        ]
 
-    flush_s, flush_rows = _time(run_flush, repeats=1)
+    flush_s, groups = _time(run_flush, repeats=1)
+    flush_allocations = np.concatenate([g.allocations for g in groups])
+    flush_iterations = np.concatenate([g.iterations for g in groups])
 
     by_tag = {r.tag: r for r in rows}
-    for i, f in enumerate(flush_rows):
-        c = by_tag[i]
-        assert np.array_equal(c.allocation, f.allocation)
-        assert c.iterations == f.iterations
+    for i in range(length):
+        assert np.array_equal(by_tag[i].allocation, flush_allocations[i])
+        assert by_tag[i].iterations == flush_iterations[i]
 
-    flush_steps = sum(
-        max(f.iterations for f in flush_rows[i : i + capacity])
-        for i in range(0, length, capacity)
-    )
+    flush_steps = sum(int(g.iterations.max()) for g in groups)
     return {
         "n": n,
         "stream_length": length,
@@ -192,7 +190,7 @@ def bench_driver(n: int, length: int, capacity: int) -> dict:
         "flush_steps": flush_steps,
         "step_reduction": flush_steps / max(1, stats["steps"]),
         "occupancy_continuous": stats["occupancy_ratio"],
-        "occupancy_flush": sum(f.iterations for f in flush_rows)
+        "occupancy_flush": int(flush_iterations.sum())
         / max(1, flush_steps * capacity),
         "continuous_seconds": cont_s,
         "flush_seconds": flush_s,

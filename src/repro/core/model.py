@@ -184,19 +184,22 @@ class FileAllocationProblem:
     # -- feasibility -----------------------------------------------------------
 
     def check_feasible(self, x: Sequence[float], *, atol: float = 1e-8) -> np.ndarray:
-        """Validate ``sum x == 1`` and ``x >= 0``; returns the vector."""
+        """Validate ``sum x == 1`` and finite ``x >= 0``; returns the vector."""
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.n,):
             raise InfeasibleAllocationError(
                 f"allocation has shape {arr.shape}, expected ({self.n},)"
             )
-        if np.any(arr < -atol):
-            raise InfeasibleAllocationError(f"negative allocation entries: min={arr.min()}")
-        if abs(arr.sum() - 1.0) > atol:
-            raise InfeasibleAllocationError(
-                f"allocation sums to {arr.sum()!r}, expected 1"
-            )
-        return arr
+        low, total = arr.min(), arr.sum()
+        # Stated as what must hold, so a NaN (which fails every
+        # comparison) is refused rather than let through.
+        if low >= -atol and abs(total - 1.0) <= atol:
+            return arr
+        if not np.isfinite(arr).all():
+            raise InfeasibleAllocationError(f"non-finite allocation entries: {arr}")
+        if low < -atol:
+            raise InfeasibleAllocationError(f"negative allocation entries: min={low}")
+        raise InfeasibleAllocationError(f"allocation sums to {total!r}, expected 1")
 
     # -- evaluation -------------------------------------------------------------
 

@@ -114,6 +114,26 @@ def wire_record(record: Dict, now: float) -> Dict:
     }
 
 
+def _can_donate(record: Dict) -> bool:
+    """Whether a wire record is a usable donor: ``2n+1`` finite params and
+    a finite, non-negative length-``n`` allocation summing to 1 (within
+    :meth:`~repro.core.model.FileAllocationProblem.check_feasible`'s
+    tolerance)."""
+    try:
+        n = int(record["n"])
+        params = np.asarray(record["params"], dtype=float)
+        allocation = np.asarray(record["allocation"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return (
+        params.shape == (2 * n + 1,)
+        and allocation.shape == (n,)
+        and bool(np.isfinite(params).all() and np.isfinite(allocation).all())
+        and not (allocation < -1e-8).any()
+        and abs(allocation.sum() - 1.0) <= 1e-8
+    )
+
+
 def _record_bytes(record: Dict) -> int:
     """Wire-size estimate of one record (budget accounting)."""
     params = record["params"]
@@ -324,7 +344,10 @@ class LookasideTier:
         strictly greater than the stored one's — newest epoch first,
         origin id as the deterministic tie-break — so concurrent
         republishes converge to the same winner on every server.  Records
-        arriving already expired (``ttl_s <= 0``) are ignored.
+        arriving already expired (``ttl_s <= 0``) are ignored, and so are
+        records that could not donate (see :func:`_can_donate`): a
+        malformed allocation would otherwise be handed out as a warm
+        start.
         """
         now = self.clock()
         merged = 0
@@ -332,8 +355,7 @@ class LookasideTier:
             self._sweep_locked(now)
             for record in records:
                 key = record.get("key")
-                params = record.get("params")
-                if key is None or params is None:
+                if key is None or not _can_donate(record):
                     continue
                 ttl = record.get("ttl_s")
                 if ttl is not None and ttl <= 0:
@@ -348,7 +370,7 @@ class LookasideTier:
                 stored = {
                     "key": key,
                     "n": int(record["n"]),
-                    "params": np.asarray(params, dtype=float),
+                    "params": np.asarray(record["params"], dtype=float),
                     "allocation": np.asarray(record["allocation"], dtype=float),
                     "iterations": int(record["iterations"]),
                     "origin": origin,

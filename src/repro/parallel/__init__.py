@@ -2,21 +2,22 @@
 
 Three layers, two axes of parallelism:
 
-* :class:`BatchedAllocator` — SIMD-style: B independent equal-size M/M/1
-  problems advance in lockstep as ``(B, N)`` NumPy arrays inside one
-  process.  Per-row results are bit-for-bit identical to the serial
-  :class:`~repro.core.algorithm.DecentralizedAllocator` (a property test
-  enforces it).  This is the fast path for sweeps of *small* problems,
-  where the serial engine's per-iteration Python overhead dominates.
-* :class:`ContinuousBatcher` — the lockstep kernel without the barrier:
-  a fixed-capacity slot array over a pending queue.  Converged rows are
-  retired mid-flight and queued problems (each with its own warm start,
-  stepsize, tolerance, and budget) are admitted into the freed slots, so
-  occupancy stays near capacity on mixed-convergence streams instead of
-  decaying to the slowest straggler.  Per-row parity is still bit-for-bit.
-  :func:`solve_chains` builds warm-started continuation chains on top —
-  the engine behind ``repro-fap sweep --engine batched --warm-start``
-  and the service's continuous dispatch mode.
+* :class:`ContinuousBatcher` — SIMD-style, and the one batched driver:
+  equal-size M/M/1 problems advance together as ``(R, N)`` NumPy arrays
+  inside one process, in a fixed number of slots over a pending queue.
+  Converged rows are retired mid-flight and queued problems (each with
+  its own warm start, stepsize, tolerance, and budget) are admitted into
+  the freed slots, so occupancy stays near capacity on mixed-convergence
+  streams instead of decaying to the slowest straggler.  Per-row results
+  are bit-for-bit identical to the serial
+  :class:`~repro.core.algorithm.DecentralizedAllocator` (property tests
+  enforce it).  :func:`solve_chains` builds warm-started continuation
+  chains on top — the engine behind ``repro-fap sweep --engine batched
+  --warm-start`` — and every grouped dispatch of the service runs here.
+* :class:`BatchedAllocator` — a lockstep sweep of B problems: the
+  batcher with all B rows admitted at step 0 and nothing queued.  This
+  is the fast path for sweeps of *small* problems, where the serial
+  engine's per-iteration Python overhead dominates.
 * :class:`SweepExecutor` / :func:`sweep_parallel` — process-pool: one
   worker per grid point (chunked), with deterministic per-task seeding,
   bounded retry on worker failure, and cross-worker
@@ -35,15 +36,13 @@ Quick start::
     batch = BatchedProblem.replicate(problem, 256)     # one problem, 256 rows
     result = BatchedAllocator(batch, alpha=0.3).run()  # lockstep solve
     result.iterations                                  # (256,) per-row counts
-    result.row(0)                                      # a serial-shaped AllocationResult
+    result.allocations[0]                              # row 0's final allocation
 """
 
 from repro.parallel.batched import (
     BatchedAllocator,
     BatchedProblem,
     BatchedResult,
-    batched_apply,
-    batched_scaled_step,
 )
 from repro.parallel.continuous import (
     ChainLink,
@@ -70,8 +69,6 @@ __all__ = [
     "SweepExecutionError",
     "SweepExecutor",
     "SweepTask",
-    "batched_apply",
-    "batched_scaled_step",
     "make_tasks",
     "solve_chains",
     "solve_grid_point",

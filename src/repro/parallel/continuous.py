@@ -1,22 +1,21 @@
 """Continuous batching: retire converged rows, refill the batch mid-flight.
 
-The lockstep :class:`~repro.parallel.batched.BatchedAllocator` runs a
-*fixed* batch until its slowest row converges.  Converged rows freeze —
-they cost no arithmetic — but their slots stay occupied, so a batch of
-mixed-convergence problems spends its tail iterations nearly empty: one
-straggler row advancing while 31 finished slots ride along.  Group-and-
-flush dispatch inherits that shape — the next group cannot start until
-the last straggler of the current one finishes.
+:class:`ContinuousBatcher` is the library's one batched driver.  It
+holds up to C (= capacity) rows in flight plus a FIFO queue of pending
+problems; every :meth:`~ContinuousBatcher.step` advances all rows in
+flight by exactly one Kurose–Simha iteration, **retires** rows that
+converged (or exhausted their budget), and **admits** queued problems
+into the freed slots without disturbing the rows still in flight.
+Occupancy stays near C for as long as the queue has work, so the
+per-step Python/NumPy dispatch overhead — the cost the batched kernel
+exists to amortize — is spread over a full batch at every iteration, not
+just the first few.  A lockstep sweep is the special case with every row
+admitted at step 0 and nothing queued; that is what
+:class:`~repro.parallel.batched.BatchedAllocator` runs.
 
-:class:`ContinuousBatcher` removes the barrier.  It owns a ``(C, N)``
-slot array (C = capacity) plus a FIFO queue of pending problems; every
-:meth:`step` advances all occupied slots by exactly one Kurose–Simha
-iteration, **retires** rows that converged (or exhausted their budget),
-and **admits** queued problems into the freed slots without disturbing
-the rows still in flight.  Occupancy stays near C for as long as the
-queue has work, so the per-step Python/NumPy dispatch overhead — the
-cost the batched kernel exists to amortize — is spread over a full batch
-at every iteration, not just the first few.
+The rows in flight stay packed in slot order as ``(R, N)`` arrays, so a
+step reads and rebinds whole arrays and never gathers or scatters; only
+a retirement or an admission repacks them.
 
 Rows are mutually independent in every per-iteration expression (the
 iteration couples the nodes of one problem, never two problems), so a
@@ -36,7 +35,7 @@ of :class:`repro.service.AllocationService` runs through this class.
 chain is a sequence of problems where every link starts from its
 predecessor's final allocation.  Chains advance in parallel, one per
 slot, staggered — this is what makes ``repro-fap sweep --engine batched
---warm-start`` possible (lockstep dispatch could not express it).
+--warm-start`` possible.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from repro.parallel.batched import (
     BatchedProblem,
     _checked_update,
     _masked_spread,
+    _Rows,
     _scaled_step,
     _stable,
     _stable_rows,
@@ -96,14 +96,6 @@ class RowResult:
         )
 
 
-def _selector(ids: np.ndarray):
-    """Index for the slots ``ids`` (ascending): a slice when they are
-    contiguous — every slot occupied, say — so the slot arrays are read
-    and written as views, with no gather or scatter."""
-    first, last = int(ids[0]), int(ids[-1])
-    return slice(first, last + 1) if last - first + 1 == len(ids) else ids
-
-
 @dataclass
 class _Submission:
     """One queued problem waiting for a free slot."""
@@ -116,20 +108,68 @@ class _Submission:
     tag: Any
 
 
+class _Flight:
+    """Rows holding slots, packed in ascending slot order: their iterates
+    and everything else a row-step reads."""
+
+    __slots__ = ("slots", "tags", "rows", "x", "x_next", "alpha", "eps", "start", "deadline",
+                 "soonest")
+
+    def __init__(self, slots, tags, rows, x, alpha, eps, start, deadline, soonest=None):
+        self.slots = slots  #: ``(R,)`` slot ids, ascending.
+        self.tags = tags  #: The R callers' tags.
+        self.rows = rows  #: Per-row constants.
+        self.x = x  #: ``(R, N)`` current iterates.
+        self.x_next = None  #: ``(R, N)`` next iterates, once evaluated.
+        self.alpha = alpha  #: ``(R, 1)`` stepsizes.
+        self.eps = eps  #: ``(R,)`` tolerances.
+        self.start = start  #: ``(R,)`` the batcher's step count at admission.
+        self.deadline = deadline  #: ``(R,)`` the step count that spends the budget.
+        #: No row is budget-capped before this step count (a lower bound).
+        self.soonest = int(deadline.min()) if soonest is None else soonest
+
+    def take(self, idx: np.ndarray) -> "_Flight":
+        """The rows at positions ``idx`` (an index array)."""
+        out = _Flight(
+            self.slots[idx], [self.tags[i] for i in idx.tolist()],
+            self.rows.take(idx), self.x[idx], self.alpha[idx], self.eps[idx],
+            self.start[idx], self.deadline[idx], self.soonest,
+        )
+        if self.x_next is not None:
+            out.x_next = self.x_next[idx]
+        return out
+
+    def join(self, other: "_Flight") -> "_Flight":
+        """Both flights' evaluated rows, in slot order."""
+        def cat(a, b):
+            return np.concatenate((a, b))
+
+        out = _Flight(
+            cat(self.slots, other.slots), self.tags + other.tags,
+            self.rows.join(other.rows), cat(self.x, other.x),
+            cat(self.alpha, other.alpha), cat(self.eps, other.eps),
+            cat(self.start, other.start), cat(self.deadline, other.deadline),
+            min(self.soonest, other.soonest),
+        )
+        out.x_next = cat(self.x_next, other.x_next)
+        if other.slots[0] < self.slots[-1]:
+            out = out.take(np.argsort(out.slots, kind="stable"))
+        return out
+
+
 class ContinuousBatcher:
-    """Row-staggered lockstep driver: a fixed-capacity slot array over a
-    pending queue.
+    """Row-staggered lockstep driver: a fixed-capacity batch of rows in
+    flight over a pending queue.
 
     Parameters
     ----------
     capacity:
-        Number of concurrent rows (the ``C`` of the ``(C, N)`` state).
-        Submissions beyond the free slots queue FIFO and are admitted as
-        rows retire.
+        Number of concurrent rows (slots).  Submissions beyond the free
+        slots queue FIFO and are admitted as rows retire.
     epsilon / max_iterations:
-        Defaults for submissions that do not carry their own.  Unlike the
-        lockstep allocator these are *per-row*: rows with different
-        tolerances and budgets share slots freely.
+        Defaults for submissions that do not carry their own.  These are
+        *per-row*: rows with different tolerances and budgets share
+        slots freely.
     validate:
         Assert per-row feasibility after every step (the serial
         allocator's Theorem-1 checks, including clamp redistribution).
@@ -173,21 +213,13 @@ class ContinuousBatcher:
         self.validate = validate
         self.registry = registry
         self.n: Optional[int] = None
-        self._problem: Optional[BatchedProblem] = None
         self._queue: deque = deque()
+        #: A whole batch queued ready-stacked by :meth:`_submit_batch`.
+        self._staged: Optional[_Flight] = None
         self._completed: List[RowResult] = []
-        # Per-slot state, allocated lazily on the first admission (n is
-        # unknown until then).  ``_occupied`` is the master mask; the
-        # other arrays are only meaningful where it is True.
-        self._occupied: Optional[np.ndarray] = None
-        self._x: Optional[np.ndarray] = None
-        #: ``x + dx``: each row's pending next iterate.
-        self._x_next: Optional[np.ndarray] = None
-        self._alpha: Optional[np.ndarray] = None
-        self._eps: Optional[np.ndarray] = None
-        self._budget: Optional[np.ndarray] = None
-        self._its: Optional[np.ndarray] = None
-        self._tags: List[Any] = []
+        #: The rows in flight (``None`` while there are none).
+        self._flight: Optional[_Flight] = None
+        self._occupied = np.zeros(self.capacity, dtype=bool)
         # Lifetime accounting (occupancy_stats / the benchmarks).
         self._steps = 0
         self._row_steps = 0
@@ -246,21 +278,40 @@ class ContinuousBatcher:
             )
         )
 
+    def _submit_batch(
+        self, batch: BatchedProblem, x: np.ndarray, alpha: np.ndarray
+    ) -> None:
+        """Queue a whole batch, stacked and checked already, as rows tagged
+        ``0..B-1`` for slots ``0..B-1`` of this fresh batcher of capacity
+        B (how :class:`~repro.parallel.batched.BatchedAllocator` submits);
+        the next :meth:`step` admits it like any submission."""
+        b = batch.batch_size
+        self.n = batch.n
+        start = np.full(b, self._steps)
+        self._staged = _Flight(
+            np.arange(b), list(range(b)), batch._rows(), x, alpha[:, None],
+            np.full(b, self.default_epsilon), start,
+            start + self.default_max_iterations,
+        )
+
     # -- introspection ---------------------------------------------------------
 
     @property
     def occupancy(self) -> int:
         """Rows currently in flight."""
-        return 0 if self._occupied is None else int(self._occupied.sum())
+        return 0 if self._flight is None else len(self._flight.tags)
 
     @property
     def backlog(self) -> int:
         """Submissions queued but not yet admitted."""
-        return len(self._queue)
+        return len(self._queue) + (0 if self._staged is None else len(self._staged.tags))
 
     def idle(self) -> bool:
         """Nothing in flight, nothing queued, nothing left to collect."""
-        return not self._queue and not self._completed and self.occupancy == 0
+        return (
+            self._flight is None and not self._queue and self._staged is None
+            and not self._completed
+        )
 
     def occupancy_stats(self) -> dict:
         """Lifetime occupancy accounting: how full the batch has been.
@@ -285,160 +336,148 @@ class ContinuousBatcher:
 
     # -- slot plumbing ---------------------------------------------------------
 
-    def _ensure_state(self, n: int) -> None:
-        if self._occupied is not None:
-            return
-        self.n = n
-        c = self.capacity
-        self._occupied = np.zeros(c, dtype=bool)
-        self._x = np.zeros((c, n))
-        self._x_next = np.zeros((c, n))
-        self._alpha = np.zeros(c)
-        self._eps = np.zeros(c)
-        self._budget = np.zeros(c, dtype=int)
-        self._its = np.zeros(c, dtype=int)
-        self._tags = [None] * c
+    def _tally(self, results: List[RowResult], *, faults: bool = False) -> None:
+        """Hand retired (or failed) rows back through :meth:`step`."""
+        self._completed.extend(results)
+        self._retired += len(results)
+        if faults:
+            self._faults += len(results)
+        if self.registry is not None:
+            if faults:
+                self.registry.counter_inc("continuous.faults", len(results))
+            self.registry.counter_inc("continuous.retired", len(results))
 
     def _retire(
         self,
-        slot: int,
+        f: _Flight,
+        idx: np.ndarray,
+        cost: Optional[np.ndarray] = None,
         *,
-        converged: bool,
-        cost: Optional[float] = None,
+        converged: bool = False,
         error: Optional[str] = None,
     ) -> None:
+        """Retire rows ``idx`` of ``f``, in that order, at their current
+        iterates (``cost`` holds their costs), freeing their slots."""
+        self._occupied[f.slots[idx]] = False
+        its = (self._steps - f.start[idx]).tolist()
         if error is None:
-            result = RowResult(
-                tag=self._tags[slot],
-                allocation=self._x[slot].copy(),
-                cost=cost,
-                iterations=int(self._its[slot]),
-                converged=converged,
-            )
+            allocations, costs = list(f.x[idx]), cost.tolist()
         else:
-            self._faults += 1
-            if self.registry is not None:
-                self.registry.counter_inc("continuous.faults")
-            result = RowResult(
-                tag=self._tags[slot],
-                allocation=None,
-                cost=None,
-                iterations=int(self._its[slot]),
-                converged=False,
-                error=error,
-            )
-        self._occupied[slot] = False
-        self._tags[slot] = None
-        self._retired += 1
-        self._completed.append(result)
-        if self.registry is not None:
-            self.registry.counter_inc("continuous.retired")
+            allocations = costs = [None] * len(its)
+        self._tally(
+            [
+                RowResult(
+                    tag=f.tags[i], allocation=allocation, cost=c,
+                    iterations=n, converged=converged, error=error,
+                )
+                for i, allocation, c, n in zip(idx.tolist(), allocations, costs, its)
+            ],
+            faults=error is not None,
+        )
 
-    def _fail_submission(self, sub: _Submission, error: str) -> None:
-        self._faults += 1
-        self._retired += 1
-        if self.registry is not None:
-            self.registry.counter_inc("continuous.faults")
-            self.registry.counter_inc("continuous.retired")
-        self._completed.append(
-            RowResult(
-                tag=sub.tag,
-                allocation=None,
-                cost=None,
-                iterations=0,
-                converged=False,
-                error=error,
-            )
+    def _take_queued(self, free: np.ndarray) -> Optional[_Flight]:
+        """Pop one queued submission per free slot (ascending) and stack
+        those that can start.  A submission that cannot (infeasible
+        start, wrong size, not plain M/M/1) fails alone, and its slot
+        waits for the next round.  ``None`` when none could start."""
+        if self.n is None:
+            self.n = self._queue[0].problem.n
+        n = self.n
+        taken = []  # (slot, submission, start, service rates)
+        for slot in free.tolist():
+            if not self._queue:
+                break
+            sub = self._queue.popleft()
+            try:
+                x0 = np.full(n, 1.0 / n) if sub.x0 is None else sub.problem.check_feasible(sub.x0)
+                if sub.problem.n != n:
+                    raise ConfigurationError(
+                        f"slot problems must have n={n}, got n={sub.problem.n}"
+                    )
+                taken.append((slot, sub, x0, sub.problem.mm1_service_rates()))
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                self._tally([RowResult(sub.tag, None, None, 0, False, error)], faults=True)
+        if not taken:
+            return None
+        slots, subs, starts, mus = zip(*taken)
+        start = np.full(len(subs), self._steps)
+        return _Flight(
+            np.array(slots),
+            [sub.tag for sub in subs],
+            _Rows.stack([sub.problem for sub in subs], np.stack(mus)),
+            np.stack(starts),
+            np.array([[sub.alpha] for sub in subs]),
+            np.array([sub.epsilon for sub in subs]),
+            start,
+            start + np.array([sub.max_iterations for sub in subs]),
         )
 
     def _admit(self) -> None:
-        """Move queued submissions into free slots, evaluating the new
-        rows as one group.  Rows already converged at their start (or
-        unstable there) retire immediately, freeing the slot for the next
-        queued submission — hence the outer loop."""
+        """Move queued work into free slots.  Rows already converged at
+        their start (or unstable there) retire at once, freeing their
+        slots for the next queued submissions — hence the loop."""
+        if self._staged is not None:
+            group, self._staged = self._staged, None
+            self._enter(group)
         while self._queue:
-            if self._occupied is None:
-                self._ensure_state(self._queue[0].problem.n)
-                self._problem = BatchedProblem.replicate(
-                    self._queue[0].problem, self.capacity
-                )
             free = np.flatnonzero(~self._occupied)
-            if free.size == 0:
+            if not free.size:
                 return
-            admitted: List[int] = []
-            for slot in free:
-                if not self._queue:
-                    break
-                sub = self._queue.popleft()
-                try:
-                    x0 = (
-                        np.full(self.n, 1.0 / self.n)
-                        if sub.x0 is None
-                        else sub.problem.check_feasible(sub.x0)
-                    )
-                    self._problem.set_row(int(slot), sub.problem)
-                except Exception as exc:
-                    self._fail_submission(sub, f"{type(exc).__name__}: {exc}")
-                    continue
-                self._x[slot] = x0
-                self._alpha[slot] = sub.alpha
-                self._eps[slot] = sub.epsilon
-                self._budget[slot] = sub.max_iterations
-                self._its[slot] = 0
-                self._tags[slot] = sub.tag
-                self._occupied[slot] = True
-                admitted.append(int(slot))
-                self._admitted += 1
-                if self.registry is not None:
-                    self.registry.counter_inc("continuous.admitted")
-            if not admitted:
-                continue
-            # A row already inside tolerance at its start retires with
-            # zero iterations — exactly the lockstep kernel's behavior.
-            slots = np.array(admitted, dtype=int)
-            self._advance(
-                slots,
-                _selector(slots),
-                "M/M/1 unstable at the starting allocation: "
-                "arrival rate >= service rate",
-            )
+            group = self._take_queued(free)
+            if group is not None:
+                self._enter(group)
 
-    def _advance(self, ids: np.ndarray, sel, unstable: str) -> None:
-        """One row-step's evaluation of the occupied slots ``ids`` at their
-        current iterates: fail unstable rows alone, form every other
-        row's next iterate, and retire the rows that converged or spent
-        their budget.  ``sel`` indexes the slot arrays (see
-        :func:`_selector`).
+    def _enter(self, group: _Flight) -> None:
+        """Seat an admitted group: evaluate its rows at their starts (a
+        row already inside tolerance retires with zero iterations) and
+        add the rest to the flight."""
+        self._occupied[group.slots] = True
+        self._admitted += len(group.tags)
+        if self.registry is not None:
+            self.registry.counter_inc("continuous.admitted", len(group.tags))
+        group = self._advance(
+            group,
+            "M/M/1 unstable at the starting allocation: "
+            "arrival rate >= service rate",
+        )
+        if group is not None:
+            self._flight = group if self._flight is None else self._flight.join(group)
+
+    def _advance(self, f: _Flight, unstable: str) -> Optional[_Flight]:
+        """One row-step's evaluation of ``f`` at its current iterates: fail
+        unstable rows alone, form every other row's next iterate, and
+        retire the rows that converged or spent their budget, in slot
+        order (converged rows first).  Returns the rows still in flight.
 
         One ``mu - lambda x`` per row gives the fault mask, the gradient,
-        and — only for retiring rows — the cost; everything is
-        bit-identical per row to the lockstep kernel.
+        and — only for retiring rows — the cost; every row is
+        bit-identical to its serial solve.
         """
-        rows = self._problem._rows(sel)
-        x = self._x[sel]
-        arrivals, gap = rows.gaps(x)
+        arrivals, gap = f.rows.gaps(f.x)
         if not _stable(gap):
             ok = _stable_rows(gap)
-            for slot in ids[~ok]:
-                self._retire(int(slot), converged=False, error=unstable)
+            self._retire(f, (~ok).nonzero()[0], error=unstable)
             if not ok.any():
-                return
-            ids = sel = ids[ok]
-            x, arrivals, gap, rows = x[ok], arrivals[ok], gap[ok], rows.take(ok)
-        g, t = rows.gradient(arrivals, gap)
-        _, x_next, mask = _scaled_step(x, g, self._alpha[sel][:, None])
-        self._x_next[sel] = x_next
-        converged = _masked_spread(g, mask) < self._eps[sel]
-        exhausted = ~converged & (self._its[sel] >= self._budget[sel])
-        done = converged | exhausted
+                return None
+            keep = ok.nonzero()[0]
+            f, arrivals, gap = f.take(keep), arrivals[keep], gap[keep]
+        g, t = f.rows.gradient(arrivals, gap)
+        _, f.x_next, mask = _scaled_step(f.x, g, f.alpha)
+        done = converged = _masked_spread(g, mask) < f.eps
+        if self._steps >= f.soonest:
+            done = converged | (self._steps >= f.deadline)
         if not done.any():
-            return
-        cost = np.zeros(len(ids))
-        cost[done] = rows.take(done).cost(x[done], t[done])
-        for i in np.flatnonzero(converged):
-            self._retire(int(ids[i]), converged=True, cost=float(cost[i]))
-        for i in np.flatnonzero(exhausted):
-            self._retire(int(ids[i]), converged=False, cost=float(cost[i]))
+            return f
+        idx = done.nonzero()[0]
+        cost = f.rows.take(idx).cost(f.x[idx], t[idx])
+        ok = converged[idx]
+        if ok.all():
+            self._retire(f, idx, cost, converged=True)
+        else:
+            self._retire(f, idx[ok], cost[ok], converged=True)
+            self._retire(f, idx[~ok], cost[~ok])
+        return None if len(idx) == len(f.tags) else f.take((~done).nonzero()[0])
 
     # -- the drive loop --------------------------------------------------------
 
@@ -447,31 +486,28 @@ class ContinuousBatcher:
 
         Order of operations: admit queued work into free slots (the new
         rows' iteration-0 evaluation happens here), then apply the
-        pending step of every occupied row, re-evaluate, and retire rows
+        pending step of every row in flight, re-evaluate, and retire rows
         that converged or exhausted their budget.  Returns the rows
         retired by this call (admission-time instant retirements
         included), in deterministic slot order.
         """
-        self._admit()
-        ids = None if self._occupied is None else self._occupied.nonzero()[0]
-        if ids is not None and ids.size:
-            sel = _selector(ids)
-            self._x[sel] = _checked_update(
-                self._x[sel],
-                self._x_next[sel],
-                validate=self.validate,
-                registry=self.registry,
+        if self._queue or self._staged is not None:
+            self._admit()
+        f = self._flight
+        if f is not None:
+            f.x = _checked_update(
+                f.x, f.x_next, validate=self.validate, registry=self.registry
             )
-            self._its[sel] += 1
+            live = len(f.tags)
             self._steps += 1
-            self._row_steps += int(ids.size)
+            self._row_steps += live
             if self.registry is not None:
                 self.registry.counter_inc("continuous.steps")
-                self.registry.counter_inc("continuous.row_steps", int(ids.size))
-                self.registry.gauge_set("continuous.occupancy", float(ids.size))
+                self.registry.counter_inc("continuous.row_steps", live)
+                self.registry.gauge_set("continuous.occupancy", float(live))
                 self.registry.gauge_set("continuous.capacity", float(self.capacity))
-            self._advance(
-                ids, sel, "M/M/1 unstable in flight: arrival rate >= service rate"
+            self._flight = self._advance(
+                f, "M/M/1 unstable in flight: arrival rate >= service rate"
             )
         completed, self._completed = self._completed, []
         return completed

@@ -31,9 +31,9 @@ The service runs in two modes:
 * **synchronous** — call :meth:`pump` yourself (or use :meth:`solve` /
   :meth:`solve_many`, which pump for you).  Deterministic; what the tests
   and benchmarks use.
-* **threaded** — :meth:`start` spawns a dispatcher thread that waits up
-  to ``batch_window_s`` for a batch to fill before dispatching; callers
-  block on :meth:`PendingSolve.wait`.
+* **threaded** — :meth:`start` spawns a dispatcher thread that pumps as
+  soon as work is pending; requests that arrive while a group solves
+  join it mid-flight.  Callers block on :meth:`PendingSolve.wait`.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.algorithm import solve
+from repro.exceptions import ReproError
 from repro.obs.registry import MetricsRegistry
 from repro.parallel import ContinuousBatcher
 from repro.service.admission import AdmissionController
@@ -141,10 +142,6 @@ class AllocationService:
         requests need only share ``n`` to group — per-request epsilon
         and budget ride along.  1 disables micro-batching (every request
         runs the singleton fast path).
-    batch_window_s:
-        In threaded mode, how long the dispatcher waits after work
-        arrives for a batch to fill before dispatching anyway.  Ignored
-        by synchronous :meth:`pump` (whatever is pending is the batch).
     cache:
         A :class:`~repro.service.cache.SolutionCache` to use, or ``None``
         to build one from the ``cache_*`` / ``max_warm_distance`` /
@@ -195,7 +192,6 @@ class AllocationService:
         self,
         *,
         max_batch: int = 32,
-        batch_window_s: float = 0.0,
         cache: Optional[SolutionCache] = None,
         cache_size: int = 256,
         max_warm_distance: float = 1.0,
@@ -213,7 +209,6 @@ class AllocationService:
         self.registry = registry
         self.clock = clock
         self.batcher = MicroBatcher(max_batch=max_batch)
-        self.batch_window_s = float(batch_window_s)
         self.admission = admission if admission is not None else AdmissionController()
         if cache is None:
             if drift is None and drift_threshold is not None:
@@ -357,16 +352,27 @@ class AllocationService:
             reg.event("service_batch", size=batch.size, batched=batch.key is not None)
         if batch.size == 1:
             item = batch.items[0]
-            req = item.effective_request
-            result = solve(
-                req.problem,
-                alpha=req.alpha,
-                epsilon=req.epsilon,
-                max_iterations=req.max_iterations,
-                initial_allocation=req.initial_allocation,
-                engine="fast",
-                keep_allocations="last",
-            )
+            try:
+                req = item.effective_request
+                result = solve(
+                    req.problem,
+                    alpha=req.alpha,
+                    epsilon=req.epsilon,
+                    max_iterations=req.max_iterations,
+                    initial_allocation=req.initial_allocation,
+                    engine="fast",
+                    keep_allocations="last",
+                )
+            except ReproError as exc:
+                # An unstable problem or an infeasible warm donor fails
+                # this request alone, as a faulted row does in a group.
+                self._reject(
+                    item,
+                    REJECT_SOLVER_ERROR,
+                    f"{type(exc).__name__}: {exc}",
+                    latency_s=self.clock() - item.submitted_at,
+                )
+                return 1
             self._finish_solved(item, result, batch_size=1)
             return 1
         return self._dispatch_continuous(batch)
@@ -387,17 +393,27 @@ class AllocationService:
         # group when this row joined it ("how many shared my dispatch"
         # for whole-group joins).
         sizes: Dict[int, int] = {}
-        for item in batch.items:
-            sizes[id(item)] = batch.size
-            req = item.effective_request
+
+        def submit(item: PendingSolve, size: int) -> None:
+            # The start is the warm donor when there is one; the batcher
+            # checks it at admission and fails an infeasible one alone.
+            sizes[id(item)] = size
+            req = item.request
             driver.submit(
                 req.problem,
                 alpha=req.alpha,
                 epsilon=req.epsilon,
                 max_iterations=req.max_iterations,
-                x0=req.initial_allocation,
+                x0=(
+                    req.initial_allocation
+                    if item.warm_allocation is None
+                    else item.warm_allocation
+                ),
                 tag=item,
             )
+
+        for item in batch.items:
+            submit(item, batch.size)
         resolved = 0
         while not driver.idle():
             for row in driver.step():
@@ -409,16 +425,7 @@ class AllocationService:
             claimed, preflight_resolved = self._claim_compatible(key, free)
             resolved += preflight_resolved
             for item in claimed:
-                sizes[id(item)] = driver.occupancy + driver.backlog + 1
-                req = item.effective_request
-                driver.submit(
-                    req.problem,
-                    alpha=req.alpha,
-                    epsilon=req.epsilon,
-                    max_iterations=req.max_iterations,
-                    x0=req.initial_allocation,
-                    tag=item,
-                )
+                submit(item, driver.occupancy + driver.backlog + 1)
                 if self.registry is not None:
                     self.registry.counter_inc("service.batch_rows")
                     self.registry.counter_inc("service.joined_inflight")
@@ -588,18 +595,6 @@ class AllocationService:
             with self._cond:
                 while not self._pending and not self._stopping:
                     self._cond.wait()
-                if self._stopping:
-                    return
-                if self.batch_window_s > 0:
-                    deadline = time.monotonic() + self.batch_window_s
-                    while (
-                        len(self._pending) < self.batcher.max_batch
-                        and not self._stopping
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(timeout=remaining)
                 if self._stopping:
                     return
             self.pump()

@@ -1,18 +1,21 @@
 """Guards on the public API surface.
 
-Two invariants:
+Three invariants:
 
 * every name a ``repro`` package exports via ``__all__`` actually resolves
   (no stale exports after refactors);
 * every export of the six documented packages (core, obs, experiments,
   parallel, service, net) appears in ``docs/API.md``, so the reference
-  cannot silently fall behind the code.
+  cannot silently fall behind the code;
+* every name a package's tables in ``docs/API.md`` list resolves in that
+  package, so no row outlives the code it documents.
 """
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,32 @@ def test_api_md_documents_every_export(module_name):
     )
 
 
+def _api_md_table_names():
+    """``{package: names}``: every backticked name in the first column of
+    the tables under each ``## `repro.<package>``` section of API.md."""
+    names = {}
+    package = None
+    for line in API_MD.read_text().splitlines():
+        heading = re.match(r"## `(repro\.\w+)`", line)
+        if heading:
+            package = heading.group(1)
+            names[package] = []
+        elif package is not None and line.startswith("| `"):
+            names[package] += re.findall(r"`([^`]+)`", line.split("|")[1])
+    return names
+
+
+@pytest.mark.parametrize("module_name", DOCUMENTED_PACKAGES)
+def test_api_md_rows_resolve(module_name):
+    """The reverse of the check above: a row whose name no longer
+    resolves documents code that is gone."""
+    module = importlib.import_module(module_name)
+    names = _api_md_table_names()[module_name]
+    assert names, f"docs/API.md has no table rows for {module_name}"
+    stale = [name for name in names if not hasattr(module, name)]
+    assert not stale, f"docs/API.md lists names {module_name} lacks: {stale}"
+
+
 def test_api_md_section_per_package():
     text = API_MD.read_text()
     for module_name in DOCUMENTED_PACKAGES:
@@ -78,7 +107,7 @@ def test_continuous_batching_exports_guarded():
     # docs/API.md coverage test above.
     parallel = importlib.import_module("repro.parallel")
     for name in ("ContinuousBatcher", "RowResult", "ChainLink",
-                 "solve_chains", "batched_apply"):
+                 "solve_chains"):
         assert name in parallel.__all__, name
     service = importlib.import_module("repro.service")
     for name in ("ContinuousBatchKey", "continuous_batch_key",

@@ -96,6 +96,13 @@ class TestFeasibility:
         with pytest.raises(InfeasibleAllocationError, match="shape"):
             paper_problem.check_feasible([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, paper_problem, bad):
+        # NaN slips past both the sign and the sum comparison (each is
+        # False for NaN), so it needs its own check.
+        with pytest.raises(InfeasibleAllocationError, match="non-finite"):
+            paper_problem.check_feasible([bad, 1.0, 0.0, 0.0])
+
 
 class TestCostAndGradients:
     def test_cost_formula_by_hand(self, paper_problem):

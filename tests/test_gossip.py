@@ -65,9 +65,11 @@ class FakeClock:
 
 
 def record_for(key="k", n=3, *, value=0.5, iterations=10):
-    """A minimal valid tier record (params sized 2n+1 as the real ones)."""
+    """A minimal valid tier record (params sized 2n+1 as the real ones; a
+    feasible allocation whose first entry is ``value``)."""
     params = np.linspace(0.1, 1.0, 2 * n + 1)
-    allocation = np.full(n, value)
+    allocation = np.full(n, (1.0 - value) / (n - 1))
+    allocation[0] = value
     return {
         "key": key,
         "n": n,
@@ -277,6 +279,42 @@ class TestTierEpochs:
         empty = LookasideTier(16, origin="c")
         assert empty.epoch_vectors(["3"]) == {"3": {}}
         assert len(a.records_missing_from(empty.epoch_vectors(["3"]))) == 3
+
+
+class TestTierMergeValidation:
+    """A gossiped record must be able to donate before it is stored: a
+    malformed allocation would otherwise be handed out as a warm start."""
+
+    @staticmethod
+    def remote(**fields):
+        record = wire_record(
+            {**record_for("k1"), "origin": "a", "epoch": 1, "expires_at": None},
+            now=0.0,
+        )
+        return {**record, **fields}
+
+    def test_a_sound_record_merges_and_donates(self):
+        tier = LookasideTier(8, origin="b")
+        assert tier.merge([self.remote()]) == 1
+        donor = tier.donor_for_params(3, record_for("k1")["params"])
+        assert np.array_equal(donor, record_for("k1")["allocation"])
+
+    @pytest.mark.parametrize("fields", [
+        {"allocation": np.array([np.nan, 0.5, 0.5])},
+        {"allocation": np.array([np.inf, 0.0, 0.0])},
+        {"allocation": np.array([1.5, -0.5, 0.0])},
+        {"allocation": np.array([0.5, 0.5, 0.5])},
+        {"allocation": np.array([0.5, 0.5])},
+        {"params": np.linspace(0.1, 1.0, 5)},
+        {"params": np.full(7, np.nan)},
+        {"n": "three"},
+    ], ids=["nan", "inf", "negative", "sum", "length", "params-length",
+            "params-nan", "n"])
+    def test_records_that_cannot_donate_merge_as_zero(self, fields):
+        tier = LookasideTier(8, origin="b", max_distance=1e6)
+        assert tier.merge([self.remote(**fields)]) == 0
+        assert len(tier) == 0
+        assert tier.donor_for_params(3, record_for("k1")["params"]) is None
 
 
 class TestTierConcurrency:

@@ -40,6 +40,7 @@ from repro.service.codec import (
     parse_request,
     request_to_payload,
     response_from_dict,
+    safe_parse,
 )
 from repro.service.fingerprint import request_fingerprint, structural_key
 from repro.service.types import SolveRequest, SolveResponse
@@ -739,6 +740,19 @@ class TestWireCodecRoundTrip:
     def test_error_marker_has_no_typed_form(self):
         with pytest.raises(ConfigurationError, match="no typed form"):
             response_from_dict({"status": "error", "detail": "boom"})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_start_is_an_in_band_error(self, bad):
+        """A start vector with a NaN or inf entry is refused at parse time
+        with an in-band error, so no engine ever starts from it."""
+        payload = request_to_payload(
+            SolveRequest(problem=ring_problem(), request_id="bad-start")
+        )
+        payload["start"] = [bad, 1.0, 0.0, 0.0]
+        request, error = safe_parse(payload)
+        assert request is None
+        assert error["id"] == "bad-start" and error["status"] == "error"
+        assert error["detail"].startswith("InfeasibleAllocationError: non-finite")
 
 
 class TestCheckMetrics:

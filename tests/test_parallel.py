@@ -1,5 +1,6 @@
-"""Tests for ``repro.parallel``: the batched lockstep kernel and the
-process-pool sweep executor.
+"""Tests for ``repro.parallel``: the batched kernel, its one driver
+(the continuous batcher, which the lockstep ``BatchedAllocator`` runs),
+and the process-pool sweep executor.
 
 The load-bearing property is **bit-for-bit parity**: a batch row must
 reproduce the serial :class:`DecentralizedAllocator` exactly — same
@@ -23,7 +24,7 @@ from repro.core.algorithm import DecentralizedAllocator
 from repro.core.initials import paper_skewed_allocation, single_node_allocation
 from repro.core.model import FileAllocationProblem
 from repro.core.stepsize import DynamicStep
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StabilityError
 from repro.experiments.sweeps import SweepResult, parameter_sweep
 from repro.network.builders import complete_graph, ring_graph
 from repro.obs import MetricsRegistry
@@ -64,29 +65,30 @@ def _start_for(problem: FileAllocationProblem, kind: int) -> np.ndarray:
     return single_node_allocation(n, 0)
 
 
-def _assert_rows_equal(batched_row, serial) -> None:
-    """Batched row == serial result, bit for bit, including the trace."""
-    assert batched_row.iterations == serial.iterations
-    assert batched_row.converged == serial.converged
-    assert np.array_equal(batched_row.allocation, serial.allocation)
-    assert batched_row.cost == serial.cost
-    assert len(batched_row.trace) == len(serial.trace)
-    for got, want in zip(batched_row.trace.records, serial.trace.records):
-        assert got.iteration == want.iteration
-        assert got.cost == want.cost
-        assert got.active_count == want.active_count
-        spread_equal = got.gradient_spread == want.gradient_spread
-        both_nan = np.isnan(got.gradient_spread) and np.isnan(want.gradient_spread)
-        assert spread_equal or both_nan
-        if got.allocation is not None and want.allocation is not None:
-            assert np.array_equal(got.allocation, want.allocation)
+def _assert_capped(allocation, cost, iterations, converged, serial, budget) -> None:
+    """A run given ``budget`` steps stopped where the serial run was after
+    ``min(budget, T)`` steps (``T`` = the serial count), bit for bit: a
+    row that has not converged retires at its budget's iterate."""
+    t = min(budget, serial.iterations)
+    want = serial.trace.records[t]
+    assert iterations == t
+    assert converged == (serial.converged and serial.iterations <= budget)
+    assert np.array_equal(allocation, want.allocation)
+    assert cost == want.cost
+
+
+def _budgets(longest: int, count: int = 8) -> list:
+    """Up to ``count`` iteration budgets spread over ``1..longest``."""
+    return sorted({int(t) for t in np.linspace(1, max(1, longest), count)})
 
 
 class TestBatchedParity:
     def test_b1_reproduces_serial_on_25_seeded_problems(self):
         """The headline property: a B=1 batch is the serial allocator,
         bit for bit, across 25 randomized instances and starts (uniform,
-        skewed, and single-node — the last shrinks the active set)."""
+        skewed, and single-node — the last shrinks the active set).  Rows
+        capped at budgets spread over the run check the intermediate
+        iterates too."""
         rng = np.random.default_rng(1986)
         for case in range(25):
             problem = _random_problem(rng)
@@ -100,9 +102,22 @@ class TestBatchedParity:
                 alpha=alpha,
                 epsilon=1e-4,
                 max_iterations=2_000,
-                keep_history=True,
             ).run(x0)
-            _assert_rows_equal(batch.row(0), serial)
+            _assert_capped(
+                batch.allocations[0], batch.costs[0], batch.iterations[0],
+                batch.converged[0], serial, 2_000,
+            )
+            budgets = _budgets(serial.iterations)
+            cb = ContinuousBatcher(capacity=len(budgets), epsilon=1e-4)
+            for t in budgets:
+                cb.submit(problem, alpha=alpha, max_iterations=t, x0=x0, tag=t)
+            rows = cb.drain()
+            assert sorted(row.tag for row in rows) == budgets
+            for row in rows:
+                _assert_capped(
+                    row.allocation, row.cost, row.iterations, row.converged,
+                    serial, row.tag,
+                )
 
     def test_heterogeneous_batch_matches_per_problem_serial(self):
         rng = np.random.default_rng(7)
@@ -144,33 +159,10 @@ class TestBatchedParity:
             assert int(batch.iterations[r]) == serial.iterations
             assert np.array_equal(batch.allocations[r], serial.allocation)
 
-    def test_dynamic_step_batched_parity(self, paper_problem, paper_start):
-        serial = DecentralizedAllocator(
-            paper_problem, alpha=DynamicStep(), epsilon=1e-3
-        ).run(paper_start)
-        batch = BatchedAllocator(
-            BatchedProblem.replicate(paper_problem, 3),
-            alpha=DynamicStep(),
-            epsilon=1e-3,
-        ).run(paper_start)
-        for r in range(3):
-            assert int(batch.iterations[r]) == serial.iterations
-            assert np.array_equal(batch.allocations[r], serial.allocation)
-
-    def test_converged_rows_freeze_while_others_run(self, paper_problem, paper_start):
-        """alpha=0.67 converges in 4 iterations, alpha=0.08 in 51 — the
-        fast row's state must not move after it converges."""
-        batch = BatchedAllocator(
-            BatchedProblem.replicate(paper_problem, 2),
-            alpha=[0.67, 0.08],
-            epsilon=1e-3,
-            keep_history=True,
-        ).run(paper_start)
-        fast, slow = int(batch.iterations[0]), int(batch.iterations[1])
-        assert fast < slow
-        frozen = batch.history_allocations[fast][0]
-        for t in range(fast, slow + 1):
-            assert np.array_equal(batch.history_allocations[t][0], frozen)
+    def test_instability_raises(self):
+        problems = [_random_problem_n(np.random.default_rng(2), 5), _unstable_problem(5)]
+        with pytest.raises(StabilityError, match="batch row 1: M/M/1 unstable"):
+            BatchedAllocator(problems, alpha=0.2).run()
 
 
 class TestBatchedValidation:
@@ -200,6 +192,10 @@ class TestBatchedValidation:
         batch = BatchedProblem.replicate(paper_problem, 2)
         with pytest.raises(ConfigurationError):
             BatchedAllocator(batch, alpha=-0.1)
+        with pytest.raises(ConfigurationError, match="one per row"):
+            BatchedAllocator(batch, alpha=[0.1, 0.2, 0.3])
+        with pytest.raises(ConfigurationError, match="one per row"):
+            BatchedAllocator(batch, alpha=DynamicStep())
         with pytest.raises(ConfigurationError):
             BatchedAllocator(batch).run(np.full((3, 4), 0.25))
 
@@ -556,6 +552,21 @@ class TestContinuousParity:
             )
             _assert_row_matches_solo(rows[tag], solo)
 
+    def test_same_step_retirements_come_back_in_slot_order(self):
+        """Rows retiring on one step come back in slot order, whatever
+        order they joined in: C takes slot 0 (freed by A) after B took
+        slot 1, and B and C then spend their budgets on the same step."""
+        problem = _random_problem_n(np.random.default_rng(4), 5)
+        cb = ContinuousBatcher(capacity=2, epsilon=1e-12)
+        cb.submit(problem, alpha=0.05, max_iterations=2, tag="A")
+        cb.submit(problem, alpha=0.05, max_iterations=6, tag="B")
+        retired = [[row.tag for row in cb.step()] for _ in range(2)]
+        cb.submit(problem, alpha=0.05, max_iterations=4, tag="C")
+        while not cb.idle():
+            retired.append([row.tag for row in cb.step()])
+        assert retired[1] == ["A"]
+        assert retired[-1] == ["C", "B"]
+
     def test_immediately_converged_row_retires_with_zero_iterations(self):
         rng = np.random.default_rng(3)
         problem = _random_problem_n(rng, 4)
@@ -839,17 +850,26 @@ class TestMixedActiveCounts:
 
     @pytest.mark.parametrize("n", MIXED_SIZES)
     def test_lockstep_rows_match_serial(self, n, pin_rounds):
+        """Final states, and every row's iterate at budgets spread over
+        the run: a lockstep batch capped at ``t`` steps stops each row
+        that has not converged at its serial iterate ``t``."""
         problems, starts, alphas = _mixed_batch(n, seed=n)
-        batch = BatchedAllocator(
-            problems, alpha=alphas, epsilon=1e-3, max_iterations=400,
-            keep_history=True,
-        ).run(starts)
-        _assert_mixed_counts(pin_rounds, n)
-        for r, problem in enumerate(problems):
-            serial = DecentralizedAllocator(
+        serial = [
+            DecentralizedAllocator(
                 problem, alpha=alphas[r], epsilon=1e-3, max_iterations=400
             ).run(starts[r])
-            _assert_rows_equal(batch.row(r), serial)
+            for r, problem in enumerate(problems)
+        ]
+        for budget in [400] + _budgets(max(s.iterations for s in serial), 6):
+            batch = BatchedAllocator(
+                problems, alpha=alphas, epsilon=1e-3, max_iterations=budget
+            ).run(starts)
+            for r, s in enumerate(serial):
+                _assert_capped(
+                    batch.allocations[r], batch.costs[r], batch.iterations[r],
+                    batch.converged[r], s, budget,
+                )
+        _assert_mixed_counts(pin_rounds, n)
 
     @pytest.mark.parametrize("n", MIXED_SIZES)
     def test_continuous_rows_match_serial(self, n, pin_rounds):
@@ -886,27 +906,3 @@ class TestMixedActiveCounts:
                 )
                 _assert_row_matches_solo(row, solo)
                 warm = solo.allocation
-
-    @pytest.mark.parametrize("n", MIXED_SIZES)
-    def test_final_record_without_history_matches_serial(self, n):
-        """Without ``keep_history`` the one trace record ``row(r)`` keeps
-        is the serial run's last record, active count and spread included
-        — also for rows that end with pinned nodes."""
-        problems, starts, alphas = _mixed_batch(n, seed=n)
-        batch = BatchedAllocator(
-            problems, alpha=alphas, epsilon=1e-3, max_iterations=400
-        ).run(starts)
-        pinned_at_end = 0
-        for r, problem in enumerate(problems):
-            serial = DecentralizedAllocator(
-                problem, alpha=alphas[r], epsilon=1e-3, max_iterations=400
-            ).run(starts[r])
-            (got,) = batch.row(r).trace.records
-            want = serial.trace.records[-1]
-            assert got.iteration == want.iteration
-            assert got.cost == want.cost
-            assert got.active_count == want.active_count
-            assert got.gradient_spread == want.gradient_spread
-            assert np.array_equal(got.allocation, want.allocation)
-            pinned_at_end += want.active_count < n
-        assert pinned_at_end > 0

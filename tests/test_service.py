@@ -3,6 +3,9 @@ and the service's bit-for-bit dispatch-parity guarantee."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -488,7 +491,7 @@ class TestServiceObservability:
 class TestThreadedMode:
     def test_start_stop_roundtrip(self):
         requests = seeded_requests(4, seed=13)
-        with AllocationService(max_batch=8, batch_window_s=0.02).start() as service:
+        with AllocationService(max_batch=8).start() as service:
             tickets = [service.submit(r) for r in requests]
             responses = [t.wait(10.0) for t in tickets]
         for request, response in zip(requests, responses):
@@ -669,15 +672,115 @@ class TestThreadedRejections:
         assert response.latency_s == pytest.approx(2.0)
 
     def test_stop_without_drain_rejects_queued_under_dispatcher(self):
-        # A huge batch window with max_batch unfilled keeps the
-        # dispatcher waiting, so the queued request is still pending when
+        # A lookaside hook that blocks holds the dispatcher inside its
+        # first pump, so the second request is still queued when
         # stop(drain=False) lands and must get a structured rejection.
-        service = AllocationService(max_batch=32, batch_window_s=30.0).start()
-        ticket = service.submit(SolveRequest(problem=ring_problem()))
+        hook = _BlockingLookaside()
+        service = AllocationService(lookaside=hook).start()
+        first = service.submit(SolveRequest(problem=ring_problem()))
+        assert hook.entered.wait(10.0)
+        second = service.submit(SolveRequest(problem=ring_problem(k=2.0)))
+
+        def release_once_stopping():
+            while not service._stopping:
+                time.sleep(0.001)
+            hook.release.set()
+
+        releaser = threading.Thread(target=release_once_stopping)
+        releaser.start()
         service.stop(drain=False)
-        response = ticket.wait(0)
+        releaser.join()
+        assert first.wait(0).ok
+        response = second.wait(0)
         assert response.status == "rejected"
         assert response.reason == REJECT_SHUTDOWN
+
+
+class _BlockingLookaside:
+    """A lookaside hook whose first ``get`` blocks until ``release`` is
+    set (``entered`` reports that it is waiting)."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, request):
+        self.entered.set()
+        self.release.wait(10.0)
+        return None
+
+    def publish(self, request, result):
+        pass
+
+
+class _InfeasibleDonor:
+    """A lookaside hook that hands one request an infeasible donor (every
+    entry 0.9) and has none for the others."""
+
+    def __init__(self, request_id):
+        self.request_id = request_id
+
+    def get(self, request):
+        if request.request_id != self.request_id:
+            return None
+        return np.full(request.problem.n, 0.9)
+
+    def publish(self, request, result):
+        pass
+
+
+class TestSolverErrors:
+    """A solver error is its own request's structured rejection: in a
+    lone dispatch as in a group, synchronous or threaded, and nothing
+    else queued with it is lost."""
+
+    def test_lone_unstable_request_is_rejected(self):
+        service = AllocationService(cache_size=0)
+        response = service.solve(SolveRequest(problem=_overloaded_problem()))
+        assert response.status == "rejected"
+        assert response.reason == REJECT_SOLVER_ERROR
+        assert response.detail.startswith("StabilityError")
+
+    def test_lone_fault_does_not_stop_other_groups(self):
+        healthy = [SolveRequest(problem=ring_problem(4, k=k)) for k in (1.0, 2.0)]
+        registry = MetricsRegistry()
+        service = AllocationService(cache_size=0, registry=registry)
+        responses = service.solve_many(
+            [SolveRequest(problem=_overloaded_problem(5)), *healthy]
+        )
+        assert responses[0].reason == REJECT_SOLVER_ERROR
+        assert registry.counters["service.rejected.solver_error"] == 1
+        for request, response in zip(healthy, responses[1:]):
+            ref = reference_solve(request)
+            assert response.ok
+            assert np.array_equal(response.allocation, ref.allocation)
+
+    @pytest.mark.parametrize("bad", ["n3", "n4a"])
+    def test_infeasible_donor_fails_only_its_request(self, bad):
+        # n3 is a lone dispatch; n4a shares a group with n4b.
+        requests = [
+            SolveRequest(problem=ring_problem(3), request_id="n3"),
+            SolveRequest(problem=ring_problem(4), request_id="n4a"),
+            SolveRequest(problem=ring_problem(4, k=2.0), request_id="n4b"),
+            SolveRequest(problem=ring_problem(5), request_id="n5"),
+        ]
+        service = AllocationService(cache_size=0, lookaside=_InfeasibleDonor(bad))
+        responses = service.solve_many(requests)
+        for request, response in zip(requests, responses):
+            if request.request_id == bad:
+                assert response.reason == REJECT_SOLVER_ERROR
+                assert response.detail.startswith("InfeasibleAllocationError")
+                continue
+            ref = reference_solve(request)
+            assert response.ok
+            assert np.array_equal(response.allocation, ref.allocation)
+
+    def test_dispatcher_thread_survives_a_solver_error(self):
+        with AllocationService(cache_size=0).start() as service:
+            bad = service.submit(SolveRequest(problem=_overloaded_problem()))
+            assert bad.wait(10.0).reason == REJECT_SOLVER_ERROR
+            good = service.submit(SolveRequest(problem=ring_problem()))
+            assert good.wait(10.0).ok
 
 
 def _overloaded_problem(n=4):
@@ -793,13 +896,11 @@ class TestContinuousDispatch:
         assert ticket.done() and ticket.response.cache == "hit"
 
     def test_threaded_continuous_under_concurrent_load(self):
-        import threading
-
         requests = seeded_requests(24, seed=19)
         refs = [reference_solve(r) for r in requests]
         registry = MetricsRegistry()
         service = AllocationService(
-            max_batch=4, cache_size=0, registry=registry, batch_window_s=0.002
+            max_batch=4, cache_size=0, registry=registry
         ).start()
         tickets = [None] * len(requests)
         try:
