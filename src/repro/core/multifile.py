@@ -109,18 +109,22 @@ class MultiFileProblem:
     # -- feasibility -----------------------------------------------------------
 
     def check_feasible(self, x, *, atol: float = 1e-8) -> np.ndarray:
-        """Each file's shares are non-negative and sum to one."""
+        """Each file's shares are finite, non-negative and sum to one."""
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.m, self.n):
             raise InfeasibleAllocationError(
                 f"allocation has shape {arr.shape}, expected ({self.m}, {self.n})"
             )
-        if np.any(arr < -atol):
-            raise InfeasibleAllocationError(f"negative shares: min={arr.min()}")
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > atol):
-            raise InfeasibleAllocationError(f"per-file sums are {sums}, expected all 1")
-        return arr
+        low, sums = arr.min(), arr.sum(axis=1)
+        # Stated as what must hold, so a NaN (which fails every
+        # comparison) is refused rather than let through.
+        if low >= -atol and np.all(np.abs(sums - 1.0) <= atol):
+            return arr
+        if not np.isfinite(arr).all():
+            raise InfeasibleAllocationError(f"non-finite shares: {arr}")
+        if low < -atol:
+            raise InfeasibleAllocationError(f"negative shares: min={low}")
+        raise InfeasibleAllocationError(f"per-file sums are {sums}, expected all 1")
 
     # -- evaluation --------------------------------------------------------------
 

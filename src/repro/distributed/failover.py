@@ -32,7 +32,7 @@ from repro.core.model import FileAllocationProblem
 from repro.distributed.metrics import MessageStats
 from repro.distributed.runtime import DistributedFapRuntime
 from repro.exceptions import ConfigurationError
-from repro.network.shortest_paths import dijkstra
+from repro.network.shortest_paths import all_pairs_shortest_paths
 from repro.utils.validation import check_nonnegative
 
 
@@ -74,16 +74,11 @@ def degraded_subproblem(
         raise ConfigurationError(f"failed node {failed_node} out of range")
     survivors = np.flatnonzero(np.arange(problem.n) != failed_node)
     alive = problem.topology.without_node(failed_node)
-    m = survivors.size
-    costs = np.zeros((m, m))
-    for a, u in enumerate(survivors):
-        dist, _ = dijkstra(alive, int(u))
-        row = dist[survivors]
-        if not np.all(np.isfinite(row)):
-            raise ConfigurationError(
-                f"losing node {failed_node} disconnects the network"
-            )
-        costs[a] = row
+    costs = all_pairs_shortest_paths(alive, require_connected=False)[
+        np.ix_(survivors, survivors)
+    ]
+    if not np.isfinite(costs).all():
+        raise ConfigurationError(f"losing node {failed_node} disconnects the network")
     sub = FileAllocationProblem(
         costs,
         problem.access_rates[survivors],

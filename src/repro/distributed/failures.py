@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.algorithm import DecentralizedAllocator
 from repro.core.model import FileAllocationProblem
 from repro.exceptions import ConfigurationError
+from repro.network.shortest_paths import all_pairs_shortest_paths
 from repro.utils.numeric import normalize_simplex
 
 
@@ -78,12 +79,10 @@ def failure_impact(
         alive = problem.topology.without_node(failed_node)
         # Collapse to the surviving index set for a well-posed sub-problem.
         idx = np.flatnonzero(survivors)
-        if all(
-            np.isfinite(alive.edge_cost(u, v)) or u == v or _reachable(alive, u, v)
-            for u in idx
-            for v in idx
-        ):
-            sub_cost = _subnetwork_costs(alive, idx)
+        sub_cost = all_pairs_shortest_paths(alive, require_connected=False)[
+            np.ix_(idx, idx)
+        ]
+        if np.isfinite(sub_cost).all():
             sub_rates = problem.access_rates[idx]
             if sub_rates.sum() > 0:
                 sub_problem = FileAllocationProblem(
@@ -106,26 +105,3 @@ def failure_impact(
         surviving_allocation=surviving_allocation,
         reoptimized_cost=reoptimized_cost,
     )
-
-
-def _reachable(topology, u: int, v: int) -> bool:
-    """Connectivity probe between two nodes of the degraded topology."""
-    from repro.network.shortest_paths import dijkstra
-
-    dist, _ = dijkstra(topology, u)
-    return bool(np.isfinite(dist[v]))
-
-
-def _subnetwork_costs(topology, idx: np.ndarray) -> np.ndarray:
-    """All-pairs least costs restricted to the surviving node set."""
-    from repro.network.shortest_paths import dijkstra
-
-    m = idx.size
-    out = np.zeros((m, m))
-    for a, u in enumerate(idx):
-        dist, _ = dijkstra(topology, int(u))
-        for b, v in enumerate(idx):
-            out[a, b] = dist[v]
-    if not np.all(np.isfinite(out)):
-        raise ConfigurationError("surviving network is disconnected")
-    return out

@@ -67,8 +67,10 @@ class MultiCopyRingProblem:
         rates = np.asarray(access_rates, dtype=float)
         if rates.shape != (n,):
             raise ConfigurationError(f"need {n} access rates, got shape {rates.shape}")
-        if np.any(rates < 0) or rates.sum() <= 0:
-            raise ConfigurationError("access rates must be non-negative, positive total")
+        if not (np.isfinite(rates).all() and rates.min() >= 0 and rates.sum() > 0):
+            raise ConfigurationError(
+                "access rates must be finite and non-negative, with a positive total"
+            )
         if int(copies) != copies or copies < 1:
             raise ConfigurationError(f"copies must be a positive integer, got {copies!r}")
         self.n = n
@@ -95,19 +97,24 @@ class MultiCopyRingProblem:
     # -- feasibility --------------------------------------------------------
 
     def check_feasible(self, x, *, atol: float = 1e-8) -> np.ndarray:
-        """``x >= 0`` and ``sum x == m``."""
+        """Finite ``x >= 0`` and ``sum x == m``."""
         arr = np.asarray(x, dtype=float)
         if arr.shape != (self.n,):
             raise InfeasibleAllocationError(
                 f"allocation shape {arr.shape}, expected ({self.n},)"
             )
-        if np.any(arr < -atol):
-            raise InfeasibleAllocationError(f"negative fractions: min={arr.min()}")
-        if abs(arr.sum() - self.copies) > atol:
-            raise InfeasibleAllocationError(
-                f"allocation sums to {arr.sum()!r}, expected m={self.copies}"
-            )
-        return arr
+        low, total = arr.min(), arr.sum()
+        # Stated as what must hold, so a NaN (which fails every
+        # comparison) is refused rather than let through.
+        if low >= -atol and abs(total - self.copies) <= atol:
+            return arr
+        if not np.isfinite(arr).all():
+            raise InfeasibleAllocationError(f"non-finite fractions: {arr}")
+        if low < -atol:
+            raise InfeasibleAllocationError(f"negative fractions: min={low}")
+        raise InfeasibleAllocationError(
+            f"allocation sums to {total!r}, expected m={self.copies}"
+        )
 
     # -- evaluation -------------------------------------------------------------
 

@@ -8,7 +8,8 @@ package provides:
 * :class:`~repro.network.topology.Topology` — weighted undirected graphs
   with the standard generators (ring, line, star, tree, grid, complete,
   random) in :mod:`repro.network.builders`;
-* Dijkstra and Floyd–Warshall all-pairs least-cost computation in
+* binary-heap Dijkstra all-pairs least-cost computation, with
+  Floyd–Warshall as its independent test oracle, in
   :mod:`repro.network.shortest_paths`;
 * next-hop routing tables in :mod:`repro.network.routing` (used by the
   discrete-event runtime to charge hop-by-hop communication);

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.exceptions import TopologyError
-from repro.network.shortest_paths import dijkstra
+from repro.network.shortest_paths import _adjacency, _search
 from repro.network.topology import Topology
 
 
@@ -31,8 +31,9 @@ class RoutingTable:
         n = topology.n
         self._next_hop: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
         self._distance = np.zeros((n, n))
+        adj = _adjacency(topology)
         for source in range(n):
-            dist, pred = dijkstra(topology, source)
+            dist, pred = _search(adj, source)
             if not np.all(np.isfinite(dist)):
                 raise TopologyError(
                     f"cannot build routing table: node {source} cannot reach every node"
@@ -51,8 +52,13 @@ class RoutingTable:
     def topology(self) -> Topology:
         return self._topology
 
+    def _check_pair(self, source: int, target: int) -> None:
+        self._topology._check_node(source)
+        self._topology._check_node(target)
+
     def next_hop(self, source: int, target: int) -> int:
         """First node on the least-cost path ``source -> target``."""
+        self._check_pair(source, target)
         if source == target:
             raise TopologyError("no next hop from a node to itself")
         hop = self._next_hop[source][target]
@@ -61,6 +67,7 @@ class RoutingTable:
 
     def cost(self, source: int, target: int) -> float:
         """End-to-end least path cost (0 for source == target)."""
+        self._check_pair(source, target)
         return float(self._distance[source, target])
 
     def cost_matrix(self) -> np.ndarray:
@@ -69,6 +76,7 @@ class RoutingTable:
 
     def route(self, source: int, target: int) -> List[int]:
         """Full hop sequence from ``source`` to ``target`` inclusive."""
+        self._check_pair(source, target)
         path = [source]
         while path[-1] != target:
             path.append(self.next_hop(path[-1], target))

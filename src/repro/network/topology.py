@@ -87,17 +87,17 @@ class Topology:
         return float(self._cost[u, v])
 
     def edges(self) -> Iterator[Edge]:
-        """Yield each undirected edge once as ``(u, v, cost)`` with u < v."""
-        for u in range(self._n):
-            for v in range(u + 1, self._n):
-                if np.isfinite(self._cost[u, v]):
-                    yield (u, v, float(self._cost[u, v]))
+        """Yield each undirected edge once as ``(u, v, cost)`` with u < v,
+        in ascending ``(u, v)`` order."""
+        us, vs = np.nonzero(np.triu(np.isfinite(self._cost), k=1))
+        yield from zip(us.tolist(), vs.tolist(), self._cost[us, vs].tolist())
 
     def neighbors(self, u: int) -> List[int]:
-        """Nodes directly linked to ``u``."""
+        """Nodes directly linked to ``u``, in ascending order."""
         self._check_node(u)
-        row = self._cost[u]
-        return [v for v in range(self._n) if v != u and np.isfinite(row[v])]
+        linked = np.isfinite(self._cost[u])
+        linked[u] = False
+        return np.flatnonzero(linked).tolist()
 
     def degree(self, u: int) -> int:
         return len(self.neighbors(u))

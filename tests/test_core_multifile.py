@@ -38,6 +38,11 @@ class TestConstruction:
         with pytest.raises(InfeasibleAllocationError):
             problem.check_feasible(np.full((3, 2), 1 / 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feasibility_refuses_non_finite_shares(self, bad):
+        with pytest.raises(InfeasibleAllocationError, match="non-finite"):
+            _two_file_problem().check_feasible([[bad, 0.5, 0.5], [1 / 3] * 3])
+
 
 class TestCostModel:
     def test_gradient_matches_finite_difference(self, rng):

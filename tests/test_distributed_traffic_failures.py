@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.initials import single_node_allocation, uniform_allocation
-from repro.core.kkt import optimal_allocation
+from repro.core.kkt import optimal_allocation, optimal_cost
 from repro.core.model import FileAllocationProblem
-from repro.distributed import failure_impact, simulate_access_traffic
+from repro.distributed import degraded_subproblem, failure_impact, simulate_access_traffic
 from repro.exceptions import ConfigurationError
+from repro.network.builders import line_graph
 
 
 class TestAccessTraffic:
@@ -103,6 +104,23 @@ class TestFailureImpact:
         ]
         assert np.mean(frag) == pytest.approx(np.mean(integral))
         assert min(frag) > min(integral)  # graceful vs total outage
+
+    def test_reoptimization_uses_the_degraded_subproblem(self, paper_problem):
+        impact = failure_impact(
+            paper_problem, uniform_allocation(4), failed_node=3, epsilon=1e-6
+        )
+        sub, _ = degraded_subproblem(paper_problem, 3)
+        assert impact.reoptimized_cost == pytest.approx(optimal_cost(sub), abs=1e-5)
+
+    def test_split_survivors_are_not_reoptimized(self):
+        """Losing a line's interior node splits the network: no well-posed
+        sub-problem is left to re-optimize."""
+        problem = FileAllocationProblem.from_topology(
+            line_graph(4), np.full(4, 0.25), mu=1.5
+        )
+        impact = failure_impact(problem, uniform_allocation(4), failed_node=1)
+        assert impact.surviving_fraction == pytest.approx(0.75)
+        assert impact.reoptimized_cost is None
 
     def test_bad_node_rejected(self, paper_problem):
         with pytest.raises(ConfigurationError):

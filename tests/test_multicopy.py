@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InfeasibleAllocationError
-from repro.multicopy import MultiCopyAllocator, access_fractions, cap_at_whole_copy, node_intervals, paper_figure8_rings, paper_worked_example
+from repro.exceptions import ConfigurationError, InfeasibleAllocationError
+from repro.multicopy import MultiCopyAllocator, MultiCopyRingProblem, access_fractions, cap_at_whole_copy, node_intervals, paper_figure8_rings, paper_worked_example
 from repro.multicopy.fixtures import (
     WORKED_EXAMPLE_ARRIVAL,
     WORKED_EXAMPLE_COMM_COST,
@@ -132,6 +132,19 @@ class TestMultiCopyCost:
         problem, _ = paper_worked_example()
         with pytest.raises(InfeasibleAllocationError):
             problem.check_feasible(np.full(7, 1.0))  # sums to 7 != 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_feasibility_refuses_non_finite_fractions(self, bad):
+        _, problem = paper_figure8_rings()
+        with pytest.raises(InfeasibleAllocationError, match="non-finite"):
+            problem.check_feasible([bad, 1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_access_rates(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MultiCopyRingProblem(
+                VirtualRing([1.0] * 4), [bad, 0.1, 0.1, 0.1], copies=2, mu=6.0
+            )
 
     def test_cost_positive_and_finite(self):
         problem, x = paper_worked_example()

@@ -1,11 +1,14 @@
 """Tests for shortest paths, routing tables and the virtual ring."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TopologyError
+from repro.network import builders
 from repro.network.builders import line_graph, random_graph, ring_graph, star_graph
 from repro.network.routing import RoutingTable
 from repro.network.shortest_paths import (
@@ -36,6 +39,180 @@ class TestDijkstra:
         topo = Topology(3, [(0, 1, 1.0)])
         dist, _ = dijkstra(topo, 0)
         assert np.isinf(dist[2])
+
+
+def _reference_dijkstra(topology, source):
+    """Dijkstra asking the topology for one neighbour list and one link
+    cost at a time: the oracle the list-based search reproduces bit for
+    bit."""
+    n = topology.n
+    dist = np.full(n, np.inf)
+    pred = [None] * n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = [False] * n
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v in topology.neighbors(u):
+            nd = d + topology.edge_cost(u, v)
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def _reference_neighbors(topology, u):
+    """``Topology.neighbors`` as a per-element scan."""
+    row = topology.link_cost_matrix()[u]
+    return [v for v in range(topology.n) if v != u and np.isfinite(row[v])]
+
+
+def _reference_edges(topology):
+    """``Topology.edges`` as a per-element scan."""
+    cost = topology.link_cost_matrix()
+    return [
+        (u, v, float(cost[u, v]))
+        for u in range(topology.n)
+        for v in range(u + 1, topology.n)
+        if np.isfinite(cost[u, v])
+    ]
+
+
+def _reference_next_hop(pred, source, target):
+    hop = target
+    while pred[hop] is not None and pred[hop] != source:
+        hop = pred[hop]
+    return hop
+
+
+@st.composite
+def _weighted_graphs(draw, connected=True):
+    """Graphs on 2-40 nodes with non-integer link costs: either spread
+    out (distinct path sums) or drawn from {0.1, 0.2, 0.3}, where equal
+    paths tie and ``0.1 + 0.2 != 0.3``.  A connected graph starts from a
+    random spanning tree; a disconnected one only links nodes of the same
+    random component label, and nodes 0 and 1 get different labels."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.6]))
+    if draw(st.booleans()):
+        cost = lambda: float(rng.uniform(0.1, 10.0))  # noqa: E731
+    else:
+        cost = lambda: float(rng.choice([0.1, 0.2, 0.3]))  # noqa: E731
+    topo = Topology(n)
+    if connected:
+        labels = np.zeros(n, dtype=int)
+        order = rng.permutation(n)
+        for i in range(1, n):
+            topo.add_edge(int(order[i]), int(order[rng.integers(0, i)]), cost())
+    else:
+        labels = rng.integers(0, draw(st.integers(2, 4)), size=n)
+        labels[0], labels[1] = 0, 1
+    for u in range(n):
+        for v in range(u + 1, n):
+            if labels[u] == labels[v] and rng.random() < density:
+                topo.add_edge(u, v, cost())
+    return topo
+
+
+def _assert_matches_reference(topo, sources=None):
+    """Rows ``sources`` (default all) of the all-pairs matrix, the routing
+    table's costs and next hops, and each source's predecessors equal the
+    oracle's, bit for bit."""
+    n = topo.n
+    sources = list(range(n)) if sources is None else sources
+    reference = {s: _reference_dijkstra(topo, s) for s in sources}
+    want = np.array([reference[s][0] for s in sources])
+    got = all_pairs_shortest_paths(topo, require_connected=False)
+    assert got[sources].tobytes() == want.tobytes()
+    for s, (dist, pred) in reference.items():
+        got_dist, got_pred = dijkstra(topo, s)
+        assert got_dist.tobytes() == dist.tobytes()
+        assert got_pred == pred
+    neighbors = [topo.neighbors(u) for u in range(n)]
+    assert neighbors == [_reference_neighbors(topo, u) for u in range(n)]
+    assert all(type(v) is int for row in neighbors for v in row)
+    edges = list(topo.edges())
+    assert edges == _reference_edges(topo)
+    assert all(tuple(map(type, edge)) == (int, int, float) for edge in edges)
+    if np.isfinite(got).all():
+        table = RoutingTable(topo)
+        assert table.cost_matrix()[sources].tobytes() == want.tobytes()
+        for s, (_, pred) in reference.items():
+            for t in range(n):
+                if t != s:
+                    assert table.next_hop(s, t) == _reference_next_hop(pred, s, t)
+
+
+class TestReferenceParity:
+    """The list-based search reproduces the per-element one bit for bit:
+    every distance, predecessor and next hop."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(topo=_weighted_graphs())
+    def test_connected_graphs(self, topo):
+        _assert_matches_reference(topo)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(topo=_weighted_graphs(connected=False))
+    def test_disconnected_graphs(self, topo):
+        assert not topo.is_connected()
+        _assert_matches_reference(topo)
+
+    @pytest.mark.parametrize("n", [8, 24, 150])
+    @pytest.mark.parametrize("family", ["ring", "line", "star", "complete"])
+    def test_builder_families(self, family, n):
+        """At n = 150 the oracle (seconds per complete graph) checks the
+        ends, the hub and the middle of the node range."""
+        sources = None if n < 100 else [0, 1, n // 2, n - 1]
+        _assert_matches_reference(getattr(builders, f"{family}_graph")(n), sources)
+
+    def test_floyd_warshall_is_told_apart(self):
+        """On weighted graphs Floyd–Warshall sums paths in another order,
+        so the data above can tell it from Dijkstra in the last bit."""
+        differs = 0
+        for seed in range(10):
+            topo = random_graph(24, 0.3, cost_range=(0.1, 10.0), seed=seed)
+            want = np.array([_reference_dijkstra(topo, s)[0] for s in range(topo.n)])
+            assert all_pairs_shortest_paths(topo).tobytes() == want.tobytes()
+            np.testing.assert_allclose(floyd_warshall(topo), want, rtol=1e-12)
+            differs += floyd_warshall(topo).tobytes() != want.tobytes()
+        assert differs > 0
+
+
+class TestNodeIds:
+    """Every path query names an out-of-range node id instead of reading
+    it through Python's negative indexing or failing on an IndexError."""
+
+    BAD_PAIRS = [(0, -1), (0, 4), (0, 7), (-1, 0), (7, 0)]
+
+    @pytest.mark.parametrize("source", [-1, 4, 7])
+    def test_dijkstra_source(self, source):
+        with pytest.raises(TopologyError, match=f"node id {source} out of range"):
+            dijkstra(line_graph(4), source)
+
+    @pytest.mark.parametrize("source, target", BAD_PAIRS)
+    def test_shortest_path(self, source, target):
+        bad = target if source == 0 else source
+        with pytest.raises(TopologyError, match=f"node id {bad} out of range"):
+            shortest_path(line_graph(4), source, target)
+
+    @pytest.mark.parametrize("method", ["next_hop", "cost", "route", "hop_count"])
+    @pytest.mark.parametrize("source, target", BAD_PAIRS)
+    def test_routing_table(self, method, source, target):
+        bad = target if source == 0 else source
+        table = RoutingTable(line_graph(4))
+        with pytest.raises(TopologyError, match=f"node id {bad} out of range"):
+            getattr(table, method)(source, target)
+
+    def test_numpy_ids_accepted(self):
+        topo = line_graph(4)
+        assert shortest_path(topo, np.int64(0), np.int64(3)) == [0, 1, 2, 3]
+        assert RoutingTable(topo).cost(np.int64(3), np.int64(0)) == 3.0
 
 
 class TestFloydWarshallAgreement:

@@ -26,7 +26,7 @@ from repro.core.model import FileAllocationProblem
 from repro.core.stepsize import DynamicStep
 from repro.exceptions import ConfigurationError, StabilityError
 from repro.experiments.sweeps import SweepResult, parameter_sweep
-from repro.network.builders import complete_graph, ring_graph
+from repro.network.builders import complete_graph, line_graph, ring_graph, star_graph
 from repro.obs import MetricsRegistry
 from repro.parallel import (
     BatchedAllocator,
@@ -748,25 +748,6 @@ class TestSolveChains:
         assert len(results[1]) == 1 and results[1][0].converged
 
 
-def _hop_costs(family: str, n: int) -> np.ndarray:
-    """Unit-link shortest-path costs of a size-``n`` ring, line, star
-    (center 0) or complete graph, in closed form: what
-    ``FileAllocationProblem.from_topology`` computes, without its
-    all-pairs search (slow at n = 150)."""
-    i = np.arange(n)
-    hops = np.abs(i[:, None] - i[None, :]).astype(float)
-    if family == "ring":
-        return np.minimum(hops, n - hops)
-    if family == "line":
-        return hops
-    if family == "star":
-        costs = np.full((n, n), 2.0)
-        costs[0, :] = costs[:, 0] = 1.0
-        np.fill_diagonal(costs, 0.0)
-        return costs
-    return 1.0 - np.eye(n)
-
-
 def _mixed_batch(n: int, seed: int, rows: int = 8):
     """``rows`` heterogeneous size-``n`` problems (all four topology
     families, random rates, mu and k) with alternating skewed and
@@ -774,14 +755,14 @@ def _mixed_batch(n: int, seed: int, rows: int = 8):
     nodes at different rates, so one pin round holds rows with several
     different active counts."""
     rng = np.random.default_rng(seed)
-    families = ("ring", "complete", "star", "line")
+    families = (ring_graph, complete_graph, star_graph, line_graph)
     problems, starts, alphas = [], [], []
     for i in range(rows):
         rates = rng.uniform(0.05, 1.0, size=n)
         rates /= rates.sum() / rng.uniform(0.5, 1.0)
         problems.append(
-            FileAllocationProblem(
-                _hop_costs(families[i % 4], n), rates,
+            FileAllocationProblem.from_topology(
+                families[i % 4](n), rates,
                 k=float(rng.uniform(0.3, 2.0)), mu=float(rng.uniform(1.4, 3.0)),
             )
         )
