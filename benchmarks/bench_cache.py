@@ -1,6 +1,6 @@
 """Benchmark the cost-aware cache, drift demotion, and the lookaside tier.
 
-Three claims are measured, each parity-gated before its numbers are
+Four legs are measured, each parity-gated before its numbers are
 trusted:
 
 * **cost-aware vs LRU eviction** — a drifting hotspot stream: a small
@@ -13,6 +13,15 @@ trusted:
   every answer is re-derived by a cold reference solve of the *effective
   request* (the request actually dispatched, donor start included) and
   must match bit for bit.
+* **working-set shift** — where cost-aware eviction fails: a cache of
+  ``capacity`` entries serves ``capacity`` random networks for several
+  passes, then as many new networks for as many passes.  An LRU adopts
+  the new set after one pass.  Cost eviction seeds a new entry's value
+  with its own solve's iterations, below every old entry that earned
+  hits, so each new entry is the next victim as it is stored — until
+  the value half-life wears the old values down.  Both policies and
+  both phases are reported, with no gate on which one wins.  Same
+  bit-for-bit parity gate.
 * **drift-adaptive invalidation** — one structure whose access rates
   shift in phases, with exact repeats inside each phase.  With a
   :class:`~repro.service.DriftTracker` attached, repeats within a phase
@@ -185,7 +194,67 @@ def bench_eviction(*, n, hot_count, scan_count, rounds, capacity) -> dict:
     }
 
 
-# -- scenario 2: drift-adaptive invalidation -----------------------------------
+# -- scenario 2: working-set shift ---------------------------------------------
+
+
+def shift_stream(*, n, networks, passes, seed=11):
+    """Two phases of ``networks`` random ``n``-node networks, each phase
+    ``passes`` round-robin passes over its own set; no two networks
+    share a structure, so nothing warm-starts across them."""
+    rng = np.random.default_rng(seed)
+    phases = []
+    for phase in range(2):
+        specs = []
+        for _ in range(networks):
+            cost = rng.uniform(0.5, 2.0, size=(n, n))
+            cost = (cost + cost.T) / 2.0
+            np.fill_diagonal(cost, 0.0)
+            rates = rng.uniform(0.3, 0.8, size=n)
+            specs.append(FileAllocationProblem(cost, rates * (0.9 / rates.sum()),
+                                               k=1.0, mu=1.5))
+        phases.append([
+            SolveRequest(problem=problem, alpha=0.3, epsilon=1e-4,
+                         max_iterations=MAX_ITERATIONS,
+                         request_id=f"shift-{phase}-{p}-{i}")
+            for p in range(passes)
+            for i, problem in enumerate(specs)
+        ])
+    return phases
+
+
+def bench_shift(*, n, networks, passes, capacity) -> dict:
+    rows = {}
+    for policy in ("lru", "cost"):
+        service = AllocationService(
+            max_batch=1, cache_size=capacity, cache_eviction=policy,
+        )
+        row = {}
+        for phase, requests in enumerate(shift_stream(
+            n=n, networks=networks, passes=passes
+        )):
+            tickets = run_ticketed(service, requests)
+            assert_effective_parity(tickets)
+            responses = [t.response for t in tickets]
+            row[f"phase_{phase + 1}"] = {
+                "requests": len(responses),
+                "cache_hit": sum(r.cache == "hit" for r in responses),
+                "cache_warm": sum(r.cache == "warm" for r in responses),
+                "cache_miss": sum(r.cache == "miss" for r in responses),
+                "solver_iterations": sum(r.iterations for r in responses),
+            }
+        rows[policy] = row
+    return {
+        "n": n,
+        "capacity": capacity,
+        "networks_per_phase": networks,
+        "passes": passes,
+        "lru": rows["lru"],
+        "cost_aware": rows["cost"],
+        "parity": True,
+    }
+
+
+# -- scenario 3: drift-adaptive invalidation -----------------------------------
 
 
 def bench_drift(*, n, phases, repeats_per_phase, threshold, window) -> dict:
@@ -242,7 +311,7 @@ def bench_drift(*, n, phases, repeats_per_phase, threshold, window) -> dict:
     }
 
 
-# -- scenario 3: cross-shard lookaside -----------------------------------------
+# -- scenario 4: cross-shard lookaside -----------------------------------------
 
 
 def drifting_payloads(*, bases, rounds, nodes, seed=7):
@@ -378,10 +447,12 @@ def main(argv=None) -> int:
 
     if args.smoke:
         eviction_cfg = dict(n=8, hot_count=4, scan_count=8, rounds=2, capacity=8)
+        shift_cfg = dict(n=6, networks=4, passes=3, capacity=4)
         drift_cfg = dict(n=8, phases=2, repeats_per_phase=6, threshold=0.25, window=4)
         lookaside_cfg = dict(bases=4, rounds=2, nodes=6, workers=2)
     else:
         eviction_cfg = dict(n=10, hot_count=8, scan_count=16, rounds=6, capacity=16)
+        shift_cfg = dict(n=6, networks=16, passes=10, capacity=16)
         drift_cfg = dict(n=10, phases=4, repeats_per_phase=10, threshold=0.25, window=4)
         lookaside_cfg = dict(bases=12, rounds=5, nodes=6, workers=2)
 
@@ -394,6 +465,16 @@ def main(argv=None) -> int:
         f"{eviction['cost_aware']['cache_hit']}); "
         f"{eviction['iteration_reduction']:.1f}x fewer solver iterations"
     )
+
+    shift = bench_shift(**shift_cfg)
+    for policy in ("lru", "cost_aware"):
+        first, second = shift[policy]["phase_1"], shift[policy]["phase_2"]
+        print(
+            f"shift ({shift['networks_per_phase']} networks x {shift['passes']} "
+            f"passes per phase, capacity {shift['capacity']}): {policy} hit/miss "
+            f"{first['cache_hit']}/{first['cache_miss']} then "
+            f"{second['cache_hit']}/{second['cache_miss']}"
+        )
 
     drift = bench_drift(**drift_cfg)
     print(
@@ -425,6 +506,7 @@ def main(argv=None) -> int:
                 "smoke": args.smoke,
             },
             "eviction": eviction,
+            "shift": shift,
             "drift": drift,
             "lookaside": lookaside,
         }

@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-batch", type=int, default=32,
-        help="largest lockstep dispatch (1 disables micro-batching)",
+        help="continuous batcher's slot capacity (1 disables micro-batching)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=256,
@@ -260,7 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     net_serve.add_argument(
         "--max-batch", type=int, default=32,
-        help="largest lockstep dispatch per worker",
+        help="each worker's continuous-batcher slot capacity, and the most "
+        "queued requests a shard ships to its worker at once",
     )
     net_serve.add_argument(
         "--cache-size", type=int, default=256,

@@ -10,13 +10,14 @@ processes without giving up what makes the service fast:
   socket; every connection speaks the binary wire
   (:mod:`repro.net.binary`: struct-packed headers, raw float64 bodies,
   plain dicts as JSON bodies inside the same frames).  Requests route
-  through a :class:`ShardRouter` into *bounded* shard queues, one per
-  worker process, each running its own
-  :class:`~repro.service.AllocationService` + cache; a full queue
-  answers with a structured ``overloaded`` rejection;
-* :class:`ShardRouter` — partitions by the problem's structural
-  fingerprint, so repeats hit the cache that stored them and same-shape
-  requests micro-batch together;
+  into *bounded* shard queues, one per worker process, each running its
+  own :class:`~repro.service.AllocationService` + cache; a full queue
+  answers with a structured ``overloaded`` rejection.  The loop never
+  parses a request: the worker does;
+* :func:`routing_key` / :func:`shard_for` (:mod:`repro.net.router`) —
+  read a request's network off the decoded frame (its cost matrix's
+  structural key, or its named topology and size), so repeats hit the
+  cache that stored them and same-shape requests micro-batch together;
 * :class:`NetClient` — connection pooling, request pipelining
   (:meth:`~NetClient.request_many`: many frames in flight per
   connection, responses matched by frame id), per-request deadlines,
@@ -86,7 +87,7 @@ from repro.net.lookaside import (
     wire_record,
 )
 from repro.net.peers import PeerState, parse_peers
-from repro.net.router import ShardRouter, shard_of_key
+from repro.net.router import routing_key, shard_for, shard_of_key
 from repro.net.server import REJECT_OVERLOADED, REJECT_SHUTTING_DOWN, NetServer
 from repro.net.worker import WorkerConfig, WorkerCrashed, WorkerHandle, worker_main
 
@@ -109,7 +110,6 @@ __all__ = [
     "PeerState",
     "REJECT_OVERLOADED",
     "REJECT_SHUTTING_DOWN",
-    "ShardRouter",
     "WorkerConfig",
     "WorkerCrashed",
     "WorkerHandle",
@@ -118,7 +118,9 @@ __all__ = [
     "encode_binary_frame",
     "params_from_payload",
     "parse_peers",
+    "routing_key",
     "send_binary_frame",
+    "shard_for",
     "shard_of_key",
     "wire_record",
     "worker_main",

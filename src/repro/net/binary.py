@@ -44,8 +44,10 @@ produced (float64 survives bit-for-bit).
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -108,6 +110,14 @@ _RECV_CHUNK = 262144
 #: three orders of magnitude of headroom.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: The largest n whose explicit solve request fits in one frame: a packed
+#: body of 8·(n² + 3n) + 56 bytes (the ``_SOLVE_FRONT`` header, the cost
+#: matrix, and the rates, mu and start vectors).  A named topology may
+#: have no more nodes (:mod:`repro.service.codec`).
+MAX_PACKED_NODES = (
+    math.isqrt(9 + 4 * ((MAX_FRAME_BYTES - _SOLVE_FRONT.size) // 8)) - 3
+) // 2
+
 # Packed gossip-record batch: server-id byte length + record count, then
 # per record a front struct — epoch, remaining ttl (NaN = none),
 # iterations, n, key/origin byte lengths — followed by the key and origin
@@ -161,7 +171,7 @@ def _pack_solve_body(payload: Dict) -> Optional[bytes]:
     try:
         cost = _f64(problem["cost_matrix"])
         rates = _f64(problem["access_rates"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     n = rates.size
     if cost.shape != (n, n) or rates.ndim != 1:
@@ -175,7 +185,7 @@ def _pack_solve_body(payload: Dict) -> Optional[bytes]:
     else:
         try:
             mu_arr = _f64(mu)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return None
         if mu_arr.ndim == 0:
             flags |= _SOLVE_MU_SCALAR
@@ -191,7 +201,7 @@ def _pack_solve_body(payload: Dict) -> Optional[bytes]:
     else:
         try:
             start_arr = _f64(start)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return None
         if start_arr.shape != (n,):
             return None
@@ -216,7 +226,7 @@ def _pack_solve_body(payload: Dict) -> Optional[bytes]:
             len(name_bytes),
             len(start_name),
         )
-    except (TypeError, ValueError, struct.error):
+    except (TypeError, ValueError, OverflowError, struct.error):
         return None
     return b"".join(
         (
@@ -543,23 +553,39 @@ def _parse_header(buffer, pos: int) -> Optional[Tuple[int, int, int]]:
     return kind, request_id, length
 
 
+def _split_frames(
+    buffer, pos: int = 0
+) -> Tuple[List[Tuple[Dict, int]], int, Optional[BinaryFrameError]]:
+    """The wire's one frame splitter: ``(frames, new_pos, error)`` for
+    the complete ``(payload, request_id)`` frames in ``buffer[pos:]``,
+    the offset past the last of them, and the first frame error (or
+    ``None``).  Frames before a bad one are still returned: they arrived
+    first and deserve answers."""
+    frames: List[Tuple[Dict, int]] = []
+    try:
+        while True:
+            parsed = _parse_header(buffer, pos)
+            if parsed is None:
+                break
+            kind, request_id, length = parsed
+            start = pos + HEADER_BYTES
+            end = start + length
+            if len(buffer) < end:
+                break
+            frames.append((_decode_body(kind, bytes(buffer[start:end])), request_id))
+            pos = end
+    except BinaryFrameError as exc:
+        return frames, pos, exc
+    return frames, pos, None
+
+
 def decode_binary_frames(buffer: bytes) -> Tuple[List[Tuple[Dict, int]], bytes]:
     """Every complete ``(payload, request_id)`` in ``buffer`` plus the
-    unconsumed remainder (the pure-bytes counterpart of
-    :class:`BinaryFrameReader`)."""
-    frames: List[Tuple[Dict, int]] = []
-    pos = 0
-    while True:
-        parsed = _parse_header(buffer, pos)
-        if parsed is None:
-            return frames, bytes(buffer[pos:])
-        kind, request_id, length = parsed
-        start = pos + HEADER_BYTES
-        if len(buffer) < start + length:
-            return frames, bytes(buffer[pos:])
-        body = bytes(buffer[start : start + length])
-        pos = start + length
-        frames.append((_decode_body(kind, body), request_id))
+    unconsumed remainder; raises the first frame error."""
+    frames, pos, error = _split_frames(buffer)
+    if error is not None:
+        raise error
+    return frames, bytes(buffer[pos:])
 
 
 def send_binary_frame(sock: socket.socket, payload: Dict, request_id: int = 0) -> int:
@@ -572,35 +598,43 @@ def send_binary_frame(sock: socket.socket, payload: Dict, request_id: int = 0) -
 class BinaryFrameReader:
     """Buffered binary-frame reader over one socket.
 
-    :meth:`read` returns the next ``(payload, request_id)`` pair, or
-    ``None`` on a clean EOF at a frame boundary.  The receive buffer is
-    a ``bytearray`` consumed by offset — O(bytes), not O(frames²),
-    under pipelining.
+    :meth:`read` blocks for the next ``(payload, request_id)`` pair, or
+    ``None`` on a clean EOF at a frame boundary.  :meth:`feed` is the
+    half an event loop uses: it takes one received chunk and returns the
+    frames it completed.  The receive buffer is a ``bytearray`` consumed
+    by offset — O(bytes), not O(frames²), under pipelining.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._buffer = bytearray()
         self._pos = 0
+        self._ready = deque()
+        self._error: Optional[BinaryFrameError] = None
         #: Total bytes consumed off the socket (for ``net.bytes_in``).
         self.bytes_read = 0
 
+    def feed(
+        self, chunk: bytes
+    ) -> Tuple[List[Tuple[Dict, int]], Optional[BinaryFrameError]]:
+        """Buffer ``chunk``; ``(frames, first frame error or None)``."""
+        self.bytes_read += len(chunk)
+        buffer = self._buffer
+        buffer += chunk
+        frames, pos, error = _split_frames(buffer, self._pos)
+        if pos == len(buffer):
+            buffer.clear()
+            pos = 0
+        elif pos > _RECV_CHUNK:
+            del buffer[:pos]
+            pos = 0
+        self._pos = pos
+        return frames, error
+
     def read(self) -> Optional[Tuple[Dict, int]]:
-        while True:
-            parsed = _parse_header(self._buffer, self._pos)
-            if parsed is not None:
-                kind, request_id, length = parsed
-                start = self._pos + HEADER_BYTES
-                if len(self._buffer) >= start + length:
-                    body = bytes(self._buffer[start : start + length])
-                    self._pos = start + length
-                    if self._pos == len(self._buffer):
-                        self._buffer.clear()
-                        self._pos = 0
-                    return _decode_body(kind, body), request_id
-            if self._pos > _RECV_CHUNK:
-                del self._buffer[: self._pos]
-                self._pos = 0
+        while not self._ready:
+            if self._error is not None:
+                raise self._error
             chunk = self._sock.recv(_RECV_CHUNK)
             if not chunk:
                 if len(self._buffer) - self._pos:
@@ -609,5 +643,6 @@ class BinaryFrameReader:
                         f"({len(self._buffer) - self._pos} buffered bytes)"
                     )
                 return None
-            self.bytes_read += len(chunk)
-            self._buffer += chunk
+            frames, self._error = self.feed(chunk)
+            self._ready.extend(frames)
+        return self._ready.popleft()

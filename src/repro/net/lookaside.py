@@ -167,7 +167,7 @@ def params_from_payload(payload: Dict) -> Optional[np.ndarray]:
         rates = np.asarray(rates, dtype=float).ravel()
         mu = np.asarray(mu, dtype=float).ravel()
         k = float(problem.get("k", 1.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     if mu.size == 1 and rates.size > 1:
         mu = np.full(rates.size, mu[0])

@@ -12,13 +12,15 @@ in-process library into something real clients connect to:
   struct-packed headers, raw float64 bodies, plain dicts as JSON bodies
   inside the same frames); bytes that do not open with
   :data:`~repro.net.binary.BINARY_MAGIC` are refused in-band at once;
-* a :class:`~repro.net.router.ShardRouter` partitions requests across
-  **shards**, each shard a *bounded* FIFO queue owned by one dispatch
-  thread and served by one **worker process** (:mod:`repro.net.worker`),
-  each running its own :class:`~repro.service.AllocationService` with
-  its own cache — so repeats of a problem hit the cache that stored
-  them, and same-shape requests micro-batch together.  A full shard
-  queue answers immediately with a structured
+* :func:`~repro.net.router.shard_for` routes each request to a
+  **shard** by the network it names, read off the decoded frame (the
+  loop never parses a request), each shard a *bounded* FIFO queue
+  owned by one dispatch thread and served by one **worker process**
+  (:mod:`repro.net.worker`) running its own
+  :class:`~repro.service.AllocationService` with its own cache — so
+  repeats of a problem hit the cache that stored them, and same-shape
+  requests micro-batch together.  A full shard queue answers
+  immediately with a structured
   ``{"status": "rejected", "reason": "overloaded"}`` instead of letting
   a slow worker grow the queue (and every queued client's deadline)
   without bound;
@@ -63,24 +65,19 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.net import binary as _binary
-from repro.net.binary import BinaryFrameError, encode_binary_frame
+from repro.net.binary import BinaryFrameError, BinaryFrameReader, encode_binary_frame
 from repro.net.gossip import GOSSIP_OPS, GossipAgent
 from repro.net.lookaside import LookasideTier
 from repro.net.peers import parse_peers
-from repro.net.router import ShardRouter
+from repro.net.router import shard_for
 from repro.net.worker import (
     ERROR_WORKER_RESTARTED,
     WorkerConfig,
     WorkerCrashed,
     WorkerHandle,
 )
-from repro.service.codec import safe_parse
-from repro.service.fingerprint import structural_key_from_matrix
 
 __all__ = [
     "NetServer",
@@ -127,21 +124,19 @@ _PEER_CONNECT_TIMEOUT_S = 5.0
 class _PeerLink:
     """Event-loop state for one *outbound* gossip connection.
 
-    Shares the buffer/offset layout of :class:`_Connection` (so
-    :meth:`NetServer._extract_frames` works on both), but is loop-thread
-    confined — no out-buffer lock — and walks a small handshake state
-    machine: ``connecting`` → (``hello`` → ``auth``, when the mesh has a
-    shared secret) → ``ready``.
+    Splits its input with a :class:`~repro.net.binary.BinaryFrameReader`
+    like :class:`_Connection`, but is loop-thread confined — no
+    out-buffer lock — and walks a small handshake state machine:
+    ``connecting`` → (``hello`` → ``auth``, when the mesh has a shared
+    secret) → ``ready``.
     """
 
-    __slots__ = ("index", "sock", "buffer", "pos", "out", "state",
-                 "deadline", "dead")
+    __slots__ = ("index", "sock", "frames", "out", "state", "deadline", "dead")
 
     def __init__(self, index: int, sock: socket.socket, deadline: float):
         self.index = index
         self.sock = sock
-        self.buffer = bytearray()
-        self.pos = 0
+        self.frames = BinaryFrameReader(sock)
         self.out = bytearray()
         self.state = "connecting"
         self.deadline = deadline
@@ -152,14 +147,12 @@ class _Connection:
     """Event-loop state for one accepted socket."""
 
     __slots__ = (
-        "sock", "buffer", "pos", "out", "out_lock",
-        "authed", "nonce", "closing", "dead",
+        "sock", "frames", "out", "out_lock", "authed", "nonce", "closing", "dead",
     )
 
     def __init__(self, sock: socket.socket, *, authed: bool):
         self.sock = sock
-        self.buffer = bytearray()
-        self.pos = 0
+        self.frames = BinaryFrameReader(sock)
         self.out = bytearray()
         self.out_lock = threading.Lock()
         self.authed = authed
@@ -179,7 +172,8 @@ class NetServer:
     workers:
         Worker *processes*, each owning one
         :class:`~repro.service.AllocationService` + cache, and one shard
-        queue (requests route to shards by structural fingerprint).
+        queue (requests route to shards by their network; see
+        :mod:`repro.net.router`).
     secret:
         Optional shared secret.  When set, every connection must pass
         the HMAC challenge/response handshake (``hello`` → ``nonce`` →
@@ -268,7 +262,6 @@ class NetServer:
         self.port = int(port)
         self.num_workers = max(1, int(workers))
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.router = ShardRouter(self.num_workers)
         self.queue_depth = max(1, int(queue_depth))
         self.worker_config = WorkerConfig(
             max_batch=max_batch,
@@ -566,8 +559,7 @@ class NetServer:
             self._close_conn(conn)
             return
         self.registry.counter_inc("net.bytes_in", len(chunk))
-        conn.buffer += chunk
-        frames, error = self._extract_frames(conn)
+        frames, error = conn.frames.feed(chunk)
         for payload, corr_id in frames:
             try:
                 self._handle_payload(conn, payload, corr_id)
@@ -582,38 +574,6 @@ class NetServer:
                 conn,
                 {"status": "error", "reason": "bad_frame", "detail": str(error)},
             )
-
-    def _extract_frames(self, conn: _Connection):
-        """``(frames, error)``: every complete ``(payload, corr_id)``
-        buffered on ``conn``, consuming by offset (no per-frame buffer
-        re-slicing).  A frame error stops extraction but the frames
-        already decoded are still returned — they arrived first and
-        deserve answers before the connection is failed."""
-        frames = []
-        error: Optional[BinaryFrameError] = None
-        buffer, pos = conn.buffer, conn.pos
-        try:
-            while True:
-                parsed = _binary._parse_header(buffer, pos)
-                if parsed is None:
-                    break
-                kind, corr_id, length = parsed
-                start = pos + _binary.HEADER_BYTES
-                if len(buffer) < start + length:
-                    break
-                body = bytes(buffer[start : start + length])
-                frames.append((_binary._decode_body(kind, body), corr_id))
-                pos = start + length
-        except BinaryFrameError as exc:
-            error = exc
-        if pos == len(buffer):
-            buffer.clear()
-            pos = 0
-        elif pos > _RECV_CHUNK:
-            del buffer[:pos]
-            pos = 0
-        conn.pos = pos
-        return frames, error
 
     # -- writing ---------------------------------------------------------------
 
@@ -762,8 +722,7 @@ class NetServer:
             self._peer_fail(link, "peer closed the connection")
             return
         self.registry.counter_inc("net.bytes_in", len(chunk))
-        link.buffer += chunk
-        frames, error = self._extract_frames(link)
+        frames, error = link.frames.feed(chunk)
         for payload, _corr_id in frames:
             self._gossip.note_peer_frame(link.index)
             try:
@@ -892,35 +851,14 @@ class NetServer:
             })
             return
         self.registry.counter_inc("net.requests")
+        request_id = str(payload.get("id", ""))
         if self._draining:
-            self._reply(
-                conn, corr_id, self._shutting_down(str(payload.get("id", "")))
-            )
+            self._reply(conn, corr_id, self._shutting_down(request_id))
             return
-        cost = payload.get("problem", {}).get("cost_matrix") \
-            if isinstance(payload.get("problem"), dict) else None
-        if isinstance(cost, np.ndarray):
-            # Binary fast path: the packed body already carries float64
-            # arrays, so route on their bytes directly — the worker that
-            # owns the shard does the real parse and validation.
-            shard = self.router.shard_for_key(structural_key_from_matrix(cost))
-            item_payload = payload
-            request_id = str(payload.get("id", ""))
-        else:
-            request, error = safe_parse(payload)
-            if error is not None:
-                self.registry.counter_inc("net.parse_errors")
-                self._reply(conn, corr_id, error)
-                return
-            shard = self.router.shard_for(request)
-            # The worker re-parses the payload, so pin the server-assigned
-            # id (auto-assigned when the caller sent none) into what it
-            # sees.
-            item_payload = {**payload, "id": request.request_id}
-            request_id = request.request_id
+        shard = shard_for(payload, self.num_workers)
         self.registry.counter_inc(self._routed_counters[shard])
         item = _WorkItem(
-            payload=item_payload,
+            payload=payload,
             request_id=request_id,
             reply=partial(self._reply, conn, corr_id),
         )
@@ -1051,12 +989,12 @@ class NetServer:
 
     def _dispatch(self, worker: WorkerHandle, batch: List[_WorkItem]) -> None:
         payloads = [item.payload for item in batch]
-        if self.lookaside is not None:
-            hints = [self.lookaside.donor_for_payload(p) for p in payloads]
-            message = ("solve", payloads, hints)
-        else:
-            message = ("solve", payloads)
         try:
+            if self.lookaside is not None:
+                hints = [self.lookaside.donor_for_payload(p) for p in payloads]
+                message = ("solve", payloads, hints)
+            else:
+                message = ("solve", payloads)
             reply = worker.roundtrip(message)
             kind, results = reply[0], reply[1] if len(reply) > 1 else None
         except WorkerCrashed as exc:
@@ -1074,6 +1012,20 @@ class NetServer:
                         "detail": str(exc),
                     }
                 )
+            return
+        except Exception as exc:  # noqa: BLE001 - the shard thread must outlive any payload
+            # The payloads arrive unparsed, and one may fail on the way to
+            # the worker (say, nested too deep to pickle).  Retry one by
+            # one, so only the request at fault is answered with the error.
+            if len(batch) > 1:
+                for item in batch:
+                    self._dispatch(worker, [item])
+                return
+            batch[0].reply({
+                "id": batch[0].request_id,
+                "status": "error",
+                "detail": f"dispatch failed: {type(exc).__name__}: {exc}",
+            })
             return
         if kind != "results" or not isinstance(results, list) or len(results) != len(batch):
             for item in batch:
@@ -1147,7 +1099,9 @@ class NetServer:
             {
                 "shard": shard,
                 "queue_depth": q.qsize(),
-                "routed": self.router.route_counts[shard],
+                "routed": int(
+                    self.registry.counters.get(self._routed_counters[shard], 0)
+                ),
             }
             for shard, q in enumerate(self._queues)
         ]

@@ -223,8 +223,9 @@ class WorkerHandle:
     """Parent-side owner of one worker process and its pipe.
 
     All pipe traffic goes through :meth:`roundtrip`, which serializes
-    access (several shards may share a worker), respawns a dead worker,
-    and raises :class:`WorkerCrashed` when requests were lost with it.
+    access (the shard's dispatch thread and a ``stats`` call may both
+    use the pipe), respawns a dead worker, and raises
+    :class:`WorkerCrashed` when requests were lost with it.
     """
 
     def __init__(self, index: int, config: WorkerConfig, *, context=None):

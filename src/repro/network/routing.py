@@ -39,14 +39,19 @@ class RoutingTable:
                     f"cannot build routing table: node {source} cannot reach every node"
                 )
             self._distance[source] = dist
+            # A node's first hop is its predecessor's: walk back to the
+            # source or to a labelled node, then label the walk (O(n)).
+            hops = self._next_hop[source]
             for target in range(n):
-                if target == source:
-                    continue
-                # Walk predecessors back from target to find the first hop.
-                hop = target
-                while pred[hop] is not None and pred[hop] != source:
-                    hop = pred[hop]
-                self._next_hop[source][target] = hop
+                chain = []
+                node = target
+                while node != source and hops[node] is None:
+                    chain.append(node)
+                    node = pred[node]
+                if chain:
+                    first = chain[-1] if node == source else hops[node]
+                    for node in chain:
+                        hops[node] = first
 
     @property
     def topology(self) -> Topology:

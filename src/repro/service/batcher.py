@@ -20,9 +20,10 @@ full.  Everything else — exotic delay models and odd sizes — dispatches
 as a singleton on the fused fast path, which satisfies the same parity
 contract.
 
-:class:`MicroBatcher` does the grouping; the dispatch window (how long
-the service waits for a batch to fill) is timing policy and lives with
-the service loop, not here.
+:class:`MicroBatcher` does the grouping.  There is no dispatch window:
+the service plans a group from whatever is pending when it pumps, and
+the continuous batcher fills slots freed mid-flight with compatible
+pending requests.
 """
 
 from __future__ import annotations

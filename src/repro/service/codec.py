@@ -14,11 +14,13 @@ or carries the raw matrices::
                  "access_rates": [0.5, 0.5], "mu": 1.5, "k": 1.0}}
 
 ``start`` is a named initial allocation (``uniform`` / ``skewed`` /
-``single``) or an explicit vector.  Responses are
-:meth:`~repro.service.types.SolveResponse.as_dict` objects.  Malformed
-payloads raise :class:`~repro.exceptions.ConfigurationError` with a
-message naming the offending field — the CLI turns those into
-``{"status": "error"}`` lines instead of dying mid-stream.
+``single``) or an explicit vector.  A named topology may have no more
+``nodes`` than an explicit request can carry in one wire frame (1446).
+Responses are :meth:`~repro.service.types.SolveResponse.as_dict`
+objects.  Malformed payloads raise
+:class:`~repro.exceptions.ConfigurationError` with a message naming the
+offending field — the CLI turns those into ``{"status": "error"}``
+lines instead of dying mid-stream.
 """
 
 from __future__ import annotations
@@ -83,6 +85,13 @@ def _parse_problem(spec) -> FileAllocationProblem:
             f"unknown topology {family!r} (expected one of {sorted(_TOPOLOGIES)})"
         )
     nodes = int(spec.get("nodes", 4))
+    from repro.net.binary import MAX_PACKED_NODES  # repro.net imports this module
+
+    if nodes > MAX_PACKED_NODES:
+        raise ConfigurationError(
+            f"topology nodes={nodes} exceeds {MAX_PACKED_NODES}, the largest network one "
+            "request frame can carry"
+        )
     rate = float(spec.get("rate", 1.0))
     return FileAllocationProblem.from_topology(
         _TOPOLOGIES[family](nodes),
@@ -224,7 +233,7 @@ def safe_parse(payload: Dict):
         return None, payload
     try:
         return parse_request(payload), None
-    except (ReproError, TypeError, ValueError) as exc:
+    except (ReproError, TypeError, ValueError, OverflowError) as exc:
         return None, {
             "id": str(payload.get("id", "")),
             "status": "error",

@@ -46,7 +46,8 @@ from repro.net import (
 from repro.net import binary as wire
 from repro.net.worker import ERROR_WORKER_RESTARTED
 from repro.service import AllocationService, ServiceClient
-from repro.service.codec import parse_request
+from repro.service import codec
+from repro.service.codec import parse_request, safe_parse
 
 from tests.test_net_unit import raw_frame
 
@@ -149,6 +150,104 @@ class TestLoopbackParity:
                 stats = client.stats()
         assert [s["shard"] for s in stats["shards"]] == [0]
         assert [w["alive"] for w in stats["workers"]] == [True]
+
+
+class TestRoutingWithoutParsing:
+    """The event loop routes on the decoded frame alone; the worker is
+    the only process that parses a request."""
+
+    def test_event_loop_parses_no_request(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("the event loop parsed a request")
+
+        with NetServer(port=0, workers=2) as server:
+            # The workers forked with the real parser; only the server's
+            # own process sees the patch.
+            monkeypatch.setattr(codec, "_parse_problem", refuse)
+            host, port = server.address
+            with NetClient(host, port) as client:
+                reply = client.solve_payload(ring_payload(nodes=6))
+        assert reply["status"] == "ok" and reply["id"] == "r0"
+
+    def test_malformed_solves_get_the_in_band_parse_error(self):
+        bad = [
+            {"id": "b1", "problem": {"topology": "hexagon"}},
+            {"id": "b2"},
+            {"id": "b3", "problem": {"cost_matrix": [[0.0, 1.0]], "access_rates": [1.0]}},
+            {"id": "b4", "problem": {"topology": "line", "nodes": 10**9}},
+        ]
+        with NetServer(port=0, workers=2) as server:
+            host, port = server.address
+            with NetClient(host, port) as client:
+                replies = [client.solve_payload(dict(p)) for p in bad]
+                assert client.ping()
+        assert replies == [safe_parse(p)[1] for p in bad]
+
+    def test_unconvertible_numbers_leave_the_lookaside_shard_serving(self):
+        # The shard thread computes lookaside hints from the unparsed
+        # payload; an int too large for a float must cost no hint, not
+        # the thread that every later request of the shard waits on.
+        huge = 10**400
+        matrix = [[0.0, 1.0], [1.0, 0.0]]
+        bad = [
+            {"id": "k", "problem": {"cost_matrix": matrix, "access_rates": [0.5, 0.5],
+                                    "mu": [1.5, 1.5], "k": huge}},
+            {"id": "mu", "problem": {"cost_matrix": matrix, "access_rates": [0.5, 0.5],
+                                     "mu": [huge, 1.5]}},
+            {"id": "rates", "problem": {"cost_matrix": matrix, "access_rates": [huge, 0.5],
+                                        "mu": [1.5, 1.5]}},
+        ]
+        with NetServer(port=0, workers=1, lookaside=True) as server:
+            host, port = server.address
+            with NetClient(host, port, timeout_s=10.0) as client:
+                replies = [client.solve_payload(dict(p)) for p in bad]
+                after = client.solve_payload(ring_payload())
+        assert replies == [safe_parse(p)[1] for p in bad]
+        assert all("OverflowError" in r["detail"] for r in replies)
+        assert after["status"] == "ok" and after["id"] == "r0"
+
+    def test_a_payload_the_worker_cannot_receive_spoils_no_batch_mate(self):
+        from repro.net.server import _WorkItem
+
+        # JSON decodes this nesting, but pickling it for the worker pipe
+        # recurses too deep; the batch it rides in must still be served.
+        deep = 0.5
+        for _ in range(600):
+            deep = [deep]
+        payloads = [
+            ring_payload(0),
+            {"id": "deep", "problem": {"cost_matrix": deep, "access_rates": [0.5, 0.5]}},
+            ring_payload(2),
+        ]
+        replies = {}
+        with NetServer(port=0, workers=1, lookaside=True) as server:
+            batch = [
+                _WorkItem(payload=p, request_id=p["id"],
+                          reply=lambda r, i=p["id"]: replies.setdefault(i, r))
+                for p in payloads
+            ]
+            server._dispatch(server._workers[0], batch)
+            host, port = server.address
+            with NetClient(host, port, timeout_s=10.0) as client:
+                wire_reply = client.solve_payload(dict(payloads[1]))
+                after = client.solve_payload(ring_payload(3))
+        assert replies["r0"]["status"] == "ok" and replies["r2"]["status"] == "ok"
+        assert replies["deep"]["status"] == "error"
+        assert replies["deep"]["detail"].startswith("dispatch failed: RecursionError")
+        assert wire_reply == replies["deep"]
+        assert after["status"] == "ok"
+
+    def test_id_less_rejections_carry_an_empty_id(self):
+        with NetServer(port=0, workers=1) as server:
+            host, port = server.address
+            with NetClient(host, port) as client:
+                assert client.ping()  # connect before the drain starts
+                server._draining = True
+                payload = ring_payload()
+                del payload["id"]
+                reply = client.solve_payload(payload)
+        assert reply["id"] == ""
+        assert reply["reason"] == REJECT_SHUTTING_DOWN
 
 
 class TestCodecNegotiation:

@@ -27,10 +27,11 @@ from repro.net import (
     BinaryFrameReader,
     FrameError,
     NetClient,
-    ShardRouter,
     decode_binary_frames,
     encode_binary_frame,
+    routing_key,
     send_binary_frame,
+    shard_for,
     shard_of_key,
 )
 from repro.net import binary as wire
@@ -264,6 +265,10 @@ class TestBinaryCodec:
             {"id": "r", "status": "rejected", "reason": "overloaded"},
             {"id": "r", "status": "error", "detail": "boom"},
             solve_payload_dict(2, extra={"not_a_wire_field": 1}),
+            # Numbers the packed struct cannot hold: the worker's parse
+            # refuses them in-band, so they must reach it.
+            solve_payload_dict(4, extra={"max_iterations": float("inf")}),
+            solve_payload_dict(5, extra={"alpha": 10**400}),
         ):
             [(decoded, _)], _ = decode_binary_frames(encode_binary_frame(payload))
             assert decoded == payload
@@ -653,30 +658,99 @@ class TestClientConnectMetrics:
                 assert client.metrics["reconnects"] == 1
 
 
-class TestShardRouter:
+class TestRouting:
+    """Routing is a function of the decoded frame alone."""
+
     def test_affinity_is_deterministic_and_structure_keyed(self):
-        router = ShardRouter(4)
-        r1 = SolveRequest(problem=ring_problem())
+        """The packed-ndarray form, the JSON-list form and the built
+        problem's structural key agree, and parameter variants of one
+        matrix share it."""
+        r1 = SolveRequest(problem=ring_problem(), request_id="a")
         r2 = SolveRequest(problem=ring_problem(mu=2.5), alpha=0.1)  # same shape
         r3 = SolveRequest(problem=star_problem())
-        assert router.shard_for(r1) == router.shard_for(r2)
-        assert router.shard_for(r1) == shard_of_key(
-            structural_key(r1.problem), 4
-        )
-        assert router.routing_key(r1) == structural_key(r1.problem)
-        # Different structures may collide, but the expected key differs.
-        assert router.routing_key(r3) != router.routing_key(r1)
+        as_list = request_to_payload(r1)
+        [(packed, _)], _ = decode_binary_frames(encode_binary_frame(as_list))
+        assert isinstance(packed["problem"]["cost_matrix"], np.ndarray)
+        assert isinstance(as_list["problem"]["cost_matrix"], list)
+        key = structural_key(r1.problem)
+        assert routing_key(packed) == routing_key(as_list) == key
+        assert routing_key(request_to_payload(r2)) == key
+        assert shard_for(packed, 4) == shard_for(as_list, 4) == shard_of_key(key, 4)
+        # Different structures may collide on a shard, but not on a key.
+        assert routing_key(request_to_payload(r3)) != key
 
-    def test_route_counts_tally(self):
-        router = ShardRouter(2)
-        for _ in range(3):
-            router.shard_for(SolveRequest(problem=ring_problem()))
-        assert sum(router.route_counts) == 3
-        assert max(router.route_counts) == 3  # all on the affinity shard
+    def test_named_topology_keys_on_family_and_size(self):
+        """Rate, mu and k never change the cost matrix, so they never
+        change the shard; the codec's defaults (a ring of 4) apply."""
+        def spec(**problem):
+            return {"id": "x", "problem": problem, "alpha": 0.2}
 
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ConfigurationError):
-            ShardRouter(0)
+        key = routing_key(spec(topology="ring", nodes=6))
+        assert key is not None
+        assert routing_key(spec(topology="ring", nodes=6, mu=2.5, rate=0.4, k=3.0)) == key
+        assert routing_key(spec(topology="ring", nodes=7)) != key
+        assert routing_key(spec(topology="star", nodes=6)) != key
+        assert routing_key(spec()) == routing_key(spec(topology="ring", nodes=4))
+
+    @pytest.mark.parametrize("payload", [
+        {"id": "no-problem"},
+        {"problem": [1, 2]},
+        {"problem": {"cost_matrix": [[0.0, 1.0], [1.0]], "access_rates": [0.5, 0.5]}},
+        {"problem": {"cost_matrix": "dense", "access_rates": [1.0]}},
+        {"problem": {"access_rates": [0.5, 0.5]}},
+    ])
+    def test_payloads_naming_no_network_go_to_shard_0(self, payload):
+        assert routing_key(payload) is None
+        assert shard_for(payload, 3) == 0
+
+
+class TestNamedTopologyBound:
+    """A named topology may be no larger than the largest network an
+    explicit request can carry in one frame."""
+
+    CAP = 1446
+
+    def test_cap_is_the_largest_packed_request_one_frame_carries(self):
+        assert wire.MAX_PACKED_NODES == self.CAP
+
+        def packed(n):
+            return encode_binary_frame({
+                "problem": {
+                    "cost_matrix": np.zeros((n, n)), "access_rates": np.zeros(n),
+                    "mu": np.ones(n),
+                },
+                "start": np.zeros(n),
+            })
+
+        assert len(packed(self.CAP)) <= wire.HEADER_BYTES + MAX_FRAME_BYTES
+        with pytest.raises(BinaryFrameError, match="exceeds"):
+            packed(self.CAP + 1)
+
+    @pytest.mark.parametrize("nodes", [CAP + 1, 10**9])
+    def test_larger_named_topologies_are_refused_in_band(self, nodes):
+        # A line, not a ring: without the bound, line_graph(10**9) fails
+        # at once on its n x n matrix, while ring_graph would first build
+        # a 10**9-entry list of link costs.
+        payload = {"id": "big", "problem": {"topology": "line", "nodes": nodes}}
+        request, error = safe_parse(payload)
+        assert request is None
+        assert error == {
+            "id": "big", "status": "error",
+            "detail": f"ConfigurationError: topology nodes={nodes} exceeds "
+                      f"{self.CAP}, the largest network one request frame can carry",
+        }
+
+    def test_unconvertible_numbers_are_in_band_errors(self):
+        """``int(inf)`` raises OverflowError, not ValueError; it must not
+        escape the parse (a worker would die of it)."""
+        for payload in (
+            {"problem": {"topology": "ring", "nodes": float("inf")}},
+            {"problem": {"topology": "ring"}, "max_iterations": float("inf")},
+            {"problem": {"topology": "ring", "rate": 10**400}},
+        ):
+            request, error = safe_parse(payload)
+            assert request is None
+            assert error["detail"].startswith("OverflowError:")
 
 
 class TestWireCodecRoundTrip:
@@ -789,6 +863,25 @@ class TestCheckMetrics:
         (src / "emit.py").write_text(
             'registry.counter_inc("net.requests")\n'
         )
+        assert self.run_checker(docs, src) == 1
+
+    def test_emitted_but_undocumented_metric_fails(self, tmp_path):
+        """The reverse direction: every emission must be named in a doc,
+        and a ``<name>`` placeholder documents an f-string's ``{...}``."""
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "OPS.md").write_text(
+            "Watch `net.requests` and the per-shard `net.shard.<i>.routed`.\n"
+        )
+        src = tmp_path / "src"
+        src.mkdir()
+        emits = (
+            'registry.counter_inc("net.requests")\n'
+            'registry.counter_inc(f"net.shard.{s}.routed")\n'
+        )
+        (src / "emit.py").write_text(emits)
+        assert self.run_checker(docs, src) == 0
+        (src / "emit.py").write_text(emits + 'registry.counter_inc("net.silent")\n')
         assert self.run_checker(docs, src) == 1
 
     def test_fstring_placeholders_match_as_wildcards(self, tmp_path):

@@ -1,23 +1,27 @@
-"""Check that every ``service.*`` / ``net.*`` metric named in the docs
-is actually emitted somewhere in ``src/``.
+"""Check that the ``service.*`` / ``net.*`` metrics the docs name and
+the ones ``src/`` emits are the same set.
 
-Docs rot in a specific way: a counter gets renamed (or never lands) and
-the operations guide keeps promising a series nobody emits.  This tool
-closes the loop:
+Docs rot in two ways: a counter gets renamed (or never lands) and the
+operations guide keeps promising a series nobody emits, or a counter
+lands and no doc says what it counts.  This tool closes both loops:
 
 * **emissions** — every string literal in ``src/**/*.py`` that looks
   like a metric name (``service.`` / ``net.`` prefix, inside quotes).
   f-string placeholders become wildcards, so
   ``f"service.cache.{status}"`` emits the pattern ``service.cache.*``;
-* **mentions** — every concrete metric token in ``README.md`` and
-  ``docs/*.md``.  Family globs (``service.*``), attribute/method
-  references (``service.solve(...)``), dotted module paths
-  (``repro.net.binary``) and file names (``service.py``) are not metric
-  mentions and are skipped.
+* **mentions** — every metric token in ``README.md`` and ``docs/*.md``.
+  A ``<name>`` placeholder is a wildcard too, so ``net.shard.<i>.routed``
+  documents ``f"net.shard.{s}.routed"``.  Family globs (``service.*``),
+  attribute/method references (``service.solve(...)``), dotted module
+  paths (``repro.net.binary``) and file names (``service.py``) are not
+  metric mentions and are skipped, and so are the benchmark's per-layer
+  names (``BENCHMARK.json``), which the benchmark derives and no
+  registry emits.
 
-Every mention must match an emission (exactly, or via a placeholder
-wildcard).  Exits non-zero listing each unemitted metric.  Run
-standalone or as the CI docs step:
+Every mention must match an emission, and every emission a mention
+(exactly, or via a wildcard on either side).  Exits non-zero listing
+each unemitted and each undocumented metric.  Run standalone or as the
+CI docs step:
 
     python tools/check_metrics.py
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import json
 import re
 import sys
 from pathlib import Path
@@ -41,11 +46,14 @@ EMISSION = re.compile(
     r"""(f?)(['"])((?:service|net)\.[A-Za-z0-9_.{}\[\]]+)\2"""
 )
 
-#: A concrete metric token in prose: not part of a dotted path
+#: A metric token in prose: not part of a dotted path
 #: (``repro.net.binary``), not a call (``service.solve(...)``), not a
 #: family glob (``service.*``) and not a file name (``service.py``).
+#: Components after the first may be numbers (``net.shard.0.routed``)
+#: and may hold ``<name>`` placeholders (``service.latency_<q>``).
 MENTION = re.compile(
-    r"(?<![\w.])((?:service|net)\.[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+)(?![\w.(*])"
+    r"(?<![\w.])((?:service|net)\.[a-z][a-z0-9_]*"
+    r"(?:\.(?:[a-z0-9]|<[a-z_]+>)(?:[a-z0-9_]|<[a-z_]+>)*)*)(?![\w.(*<])"
 )
 
 #: Extensions that mark a token as a file name, not a metric.
@@ -65,7 +73,8 @@ def emitted_patterns(src_root: Path) -> set[str]:
 
 
 def doc_mentions(doc_paths: list[Path]) -> dict[str, list[str]]:
-    """Metric tokens per doc, as ``{metric: ["file:line", ...]}``."""
+    """Metric tokens per doc, as ``{metric: ["file:line", ...]}``, with
+    ``<name>`` placeholders wildcarded."""
     mentions: dict[str, list[str]] = {}
     for path in doc_paths:
         rel = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
@@ -74,19 +83,36 @@ def doc_mentions(doc_paths: list[Path]) -> dict[str, list[str]]:
                 token = match.group(1)
                 if token.endswith(FILE_SUFFIXES):
                     continue
+                token = re.sub(r"<[^>]*>", "*", token)
                 mentions.setdefault(token, []).append(f"{rel}:{lineno}")
     return mentions
 
 
+def benchmark_layers(root: Path) -> set[str]:
+    """The per-layer metric names ``BENCHMARK.json`` declares."""
+    path = root / "BENCHMARK.json"
+    if not path.exists():
+        return set()
+    return {layer["name"] for layer in json.loads(path.read_text()).get("per_layer", [])}
+
+
+def _matches(name: str, others) -> bool:
+    """``name`` equals one of ``others``, or a wildcard on either side
+    covers the other."""
+    return any(
+        name == other
+        or fnmatch.fnmatchcase(name, other)
+        or fnmatch.fnmatchcase(other, name)
+        for other in others
+    )
+
+
 def unemitted(mentions: dict[str, list[str]], patterns: set[str]) -> dict[str, list[str]]:
-    missing = {}
-    for metric, sites in mentions.items():
-        if metric in patterns:
-            continue
-        if any("*" in p and fnmatch.fnmatchcase(metric, p) for p in patterns):
-            continue
-        missing[metric] = sites
-    return missing
+    return {m: sites for m, sites in mentions.items() if not _matches(m, patterns)}
+
+
+def undocumented(patterns: set[str], mentions: dict[str, list[str]]) -> list[str]:
+    return sorted(p for p in patterns if not _matches(p, mentions))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,14 +134,22 @@ def main(argv: list[str] | None = None) -> int:
     docs = [d for d in docs if d.exists()]
 
     patterns = emitted_patterns(args.src)
-    mentions = doc_mentions(docs)
+    layers = benchmark_layers(ROOT)
+    mentions = {m: s for m, s in doc_mentions(docs).items() if m not in layers}
     missing = unemitted(mentions, patterns)
+    silent = undocumented(patterns, mentions)
 
     if missing:
         print(f"{len(missing)} documented metric(s) never emitted:")
         for metric in sorted(missing):
             sites = ", ".join(missing[metric][:3])
             print(f"  {metric} (mentioned at {sites})")
+    if silent:
+        print(f"{len(silent)} emitted metric(s) never documented "
+              "(a `<name>` placeholder documents an f-string's `{...}`):")
+        for metric in silent:
+            print(f"  {metric}")
+    if missing or silent:
         return 1
     print(
         f"metrics OK ({len(mentions)} documented metrics checked against "
