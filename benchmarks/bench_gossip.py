@@ -272,10 +272,12 @@ def bench_fault_injection() -> dict:
     """Kill one of three servers mid-run; survivors keep replicating and
     a respawned replacement is re-fed to digest equality."""
     def record(key, value):
+        # A feasible allocation: the tier merges only records that can
+        # donate, which must sum to 1.
         return {
             "key": key, "n": 3,
             "params": np.linspace(0.1, 1.0, 7),
-            "allocation": np.full(3, value),
+            "allocation": np.array([value, (1 - value) / 2, (1 - value) / 2]),
             "iterations": 10,
         }
 

@@ -34,7 +34,6 @@ from repro.core import (
     optimal_allocation,
     optimal_cost,
     solve,
-    solve_fast,
     theorem2_alpha_bound,
 )
 from repro.net import NetClient, NetServer
@@ -79,7 +78,6 @@ __all__ = [
     "optimal_cost",
     "ring_graph",
     "solve",
-    "solve_fast",
     "sweep_parallel",
     "theorem2_alpha_bound",
 ]

@@ -18,7 +18,6 @@ from repro.core.active_set import (
     make_policy,
 )
 from repro.core.algorithm import AllocationResult, DecentralizedAllocator, solve
-from repro.core.fastpath import run_fast, solve_fast
 from repro.core.initials import (
     paper_skewed_allocation,
     proportional_allocation,
@@ -98,10 +97,8 @@ __all__ = [
     "paper_skewed_allocation",
     "proportional_allocation",
     "random_allocation",
-    "run_fast",
     "single_node_allocation",
     "solve",
-    "solve_fast",
     "theorem2_alpha_bound",
     "uniform_allocation",
 ]

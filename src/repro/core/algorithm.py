@@ -36,10 +36,24 @@ from repro.core.model import FileAllocationProblem
 from repro.core.stepsize import StepSizePolicy, make_stepsize
 from repro.core.termination import GradientSpreadCriterion, TerminationCriterion
 from repro.core.trace import KEEP_ALLOCATION_MODES, IterationRecord, Trace
-from repro.exceptions import ConfigurationError, ConvergenceError
+from repro.exceptions import ConfigurationError, ConvergenceError, StabilityError
 from repro.obs.registry import MetricsRegistry, maybe_timer
 from repro.utils.numeric import spread
 from repro.utils.validation import check_positive
+
+
+def _drift_error(old_sum: float, new_sum: float) -> Exception:
+    """The error for a step that moved ``sum x`` by more than 1e-9.
+
+    A finite drift breaks Theorem 1, which is a defect of the solver: an
+    ``AssertionError``.  A non-finite sum means the step itself
+    overflowed (a gradient beyond the float range): a
+    :class:`~repro.exceptions.StabilityError`, the request's own fault,
+    like the one evaluation raises for non-finite arrival rates."""
+    message = f"sum moved from {old_sum!r} to {new_sum!r}"
+    if np.isfinite(new_sum):
+        return AssertionError(f"feasibility broken: {message}")
+    return StabilityError(f"step left the finite range: {message}")
 
 
 @dataclass
@@ -171,10 +185,8 @@ class DecentralizedAllocator:
         """
         new_x = x + dx
         if self.validate:
-            if abs(new_x.sum() - x.sum()) > 1e-9:
-                raise AssertionError(
-                    f"feasibility broken: sum moved from {x.sum()!r} to {new_x.sum()!r}"
-                )
+            if not abs(new_x.sum() - x.sum()) <= 1e-9:
+                raise _drift_error(x.sum(), new_x.sum())
             if not getattr(self.active_set, "allows_negative", False):
                 if np.any(new_x < -1e-9):
                     raise AssertionError(f"negative allocation: min={new_x.min()!r}")
@@ -211,21 +223,24 @@ class DecentralizedAllocator:
 
         * ``"reference"`` (default) — this method's loop: one trace record,
           one registry event, and one callback invocation per iteration.
-        * ``"fast"`` — :func:`repro.core.fastpath.run_fast`: fused one-pass
-          cost/gradient evaluation and sampled trace/event emission.  The
-          iterate sequence, iteration count, final allocation, cost, and
-          registry counter totals are bit-for-bit identical to the
-          reference engine; trace records, per-iteration events, and
-          callback invocations arrive at ``sample_every`` cadence instead
-          of every step.
+        * ``"fast"`` — on a fixed stepsize with the default active-set and
+          stopping policies over pure M/M/1 nodes, the inlined loop of
+          :mod:`repro.core.fastpath`: closed-form evaluation and sampled
+          trace/event emission.  The iterate sequence, iteration count,
+          final allocation, cost, and registry counter totals are
+          bit-for-bit identical to the reference engine; trace records,
+          per-iteration events, and callback invocations arrive at
+          ``sample_every`` cadence instead of every step.  Every other
+          configuration runs this method's loop, dense trace included.
         """
         if engine == "fast":
-            from repro.core.fastpath import run_fast
+            from repro.core import fastpath
 
-            return run_fast(
-                self, initial_allocation, raise_on_failure=raise_on_failure
-            )
-        if engine != "reference":
+            if fastpath.inlines(self):
+                return fastpath.run_inlined(
+                    self, initial_allocation, raise_on_failure=raise_on_failure
+                )
+        elif engine != "reference":
             raise ConfigurationError(
                 f'engine must be "reference" or "fast", got {engine!r}'
             )
@@ -392,9 +407,8 @@ def solve(
     dropped ``active_set``, ``validate``, ``callback`` and
     ``raise_on_failure``, so callers of the convenience wrapper could not
     reach documented allocator features.  ``engine="fast"`` selects the
-    fused :mod:`repro.core.fastpath` loop (see
-    :meth:`DecentralizedAllocator.run`); :func:`repro.core.fastpath.solve_fast`
-    is the same thing as a named entry point.
+    inlined :mod:`repro.core.fastpath` loop where it applies (see
+    :meth:`DecentralizedAllocator.run`).
     """
     allocator = DecentralizedAllocator(
         problem,

@@ -1,35 +1,35 @@
-"""The fused serial fast path: the §5.2 loop without the Python tax.
+"""The inlined serial fast path: the §5.2 loop without the Python tax.
 
 The reference :meth:`~repro.core.algorithm.DecentralizedAllocator.run`
 loop is written for observability: it evaluates the cost and the gradient
-separately (each a per-node Python loop for object delay models), builds
+separately (each a per-node Python loop over the delay models), builds
 an :class:`~repro.core.trace.IterationRecord` with a fresh ``x.copy()``
 every step, and streams one registry event per iteration.  For the
 paper's §6 workloads — thousands of gradient iterations to ε=1e-3 — that
 bookkeeping dominates the arithmetic.
 
-:func:`run_fast` executes the *same* iteration:
+This module runs the *same* iteration for exactly one configuration,
+the one every solver caller in the library uses: :class:`FixedStep`,
+:class:`ScaledStep`, :class:`GradientSpreadCriterion`, and a pure-M/M/1
+problem (:func:`inlines` is the test).  ``run(engine="fast")`` on any
+other configuration runs the reference loop itself.  The inlined loop:
 
-* one fused :meth:`~repro.core.model.FileAllocationProblem.evaluate` call
-  per step (cost + gradient — and the Hessian diagonal when the stepsize
-  is :class:`~repro.core.stepsize.DynamicStep` — sharing the
-  ``1/(mu - lambda x)`` reciprocals);
-* the exact reference step pipeline — the allocator's own
-  :class:`~repro.core.active_set.ActiveSetPolicy` ``apply`` and its
-  ``_apply`` feasibility/clamp redistribution — so the iterate sequence
-  is **bit-for-bit identical** to the reference loop (property-tested in
-  ``tests/test_fastpath.py``);
-* sampled trace emission: records at iteration 0, every
-  ``sample_every``-th iteration, and the final iterate, instead of every
-  step.  A registry, when attached, receives events at the same sampled
-  cadence while its counters (iterations, gradient evals, shrink/
-  monotonicity tallies) and final gauges stay exactly the reference
-  totals.  The callback, when set, fires on the sampled records only.
+* computes the M/M/1 derivatives as closed-form array expressions, with
+  no policy object called per step;
+* reproduces the reference step pipeline — and falls back to the
+  allocator's own :class:`~repro.core.active_set.ScaledStep` ``apply``
+  and ``_apply`` clamp redistribution the moment a boundary is in play —
+  so the iterate sequence is **bit-for-bit identical** to the reference
+  loop (property-tested in ``tests/test_fastpath.py``);
+* emits sampled trace records: iteration 0, every ``sample_every``-th
+  iteration, and the final iterate, instead of every step.  A registry,
+  when attached, receives events at the same sampled cadence while its
+  counters (iterations, gradient evals, shrink/monotonicity tallies) and
+  final gauges stay exactly the reference totals.  The callback, when
+  set, fires on the sampled records only.
 
 ``AllocationResult.iterations / allocation / cost / converged`` are
 bit-identical to the reference engine; only the trace density differs.
-Select it with ``DecentralizedAllocator.run(engine="fast")``,
-``solve(..., engine="fast")``, or the :func:`solve_fast` shorthand.
 """
 
 from __future__ import annotations
@@ -40,247 +40,52 @@ import numpy as np
 
 from repro.core.active_set import ScaledStep
 from repro.core.initials import uniform_allocation
-from repro.core.stepsize import DynamicStep, FixedStep
+from repro.core.stepsize import FixedStep
 from repro.core.termination import GradientSpreadCriterion
 from repro.core.trace import IterationRecord, Trace
 from repro.exceptions import ConvergenceError
 from repro.obs.registry import maybe_timer
-from repro.utils.numeric import spread
 
-__all__ = ["run_fast", "solve_fast"]
-
-
-def _dynamic_alpha(dyn: DynamicStep, g: np.ndarray, hessian: np.ndarray) -> float:
-    """:meth:`DynamicStep.alpha` with the Hessian from the fused evaluate.
-
-    Reproduces the policy's arithmetic exactly (same expressions, same
-    reduction order) so the chosen alpha is bit-identical to the
-    reference loop's ``problem.cost_hessian_diag`` route."""
-    dev = g - g.mean()
-    s1 = float(np.sum(dev**2))
-    h = -hessian  # d2U/dx2
-    s2 = float(np.sum(h * dev**2))
-    if s2 >= 0 or s1 == 0:
-        return dyn.fallback
-    return dyn.safety * (-s1 / s2)
+__all__ = ["inlines", "run_inlined"]
 
 
-def run_fast(
+def inlines(allocator) -> bool:
+    """Whether :func:`run_inlined` runs ``allocator``'s configuration:
+    exactly :class:`FixedStep`, :class:`ScaledStep` and
+    :class:`GradientSpreadCriterion` (subclasses may override anything)
+    on a problem whose every node is a plain M/M/1 queue."""
+    return (
+        type(allocator.stepsize) is FixedStep
+        and type(allocator.active_set) is ScaledStep
+        and type(allocator.termination) is GradientSpreadCriterion
+        and getattr(allocator.problem, "_mm1_mu", None) is not None
+    )
+
+
+def run_inlined(
     allocator,
     initial_allocation: Optional[Sequence[float]] = None,
     *,
     raise_on_failure: bool = False,
 ):
-    """Run ``allocator`` (a :class:`DecentralizedAllocator`) on the fused
-    fast path; returns the same :class:`AllocationResult` the reference
-    engine would, with a sampled trace."""
-    from repro.core.algorithm import AllocationResult
+    """Run ``allocator`` (a :class:`DecentralizedAllocator` for which
+    :func:`inlines` holds) on the inlined loop; returns the
+    :class:`AllocationResult` the reference engine would, with a sampled
+    trace.
 
-    problem = allocator.problem
-    if initial_allocation is None:
-        x = uniform_allocation(problem.n)
-    else:
-        x = problem.check_feasible(initial_allocation).copy()
-
-    stepsize = allocator.stepsize
-    stepsize.reset()
-    allocator.termination.reset()
-    reg = allocator.registry
-    active_set = allocator.active_set
-    sample_every = allocator.sample_every
-
-    # Exact-type stepsize dispatch: FixedStep collapses to a constant and
-    # DynamicStep to the closed-form bound over the fused Hessian; any
-    # other (or subclassed) policy takes the polymorphic reference call.
-    fixed_alpha = stepsize.value if type(stepsize) is FixedStep else None
-    dynamic = stepsize if type(stepsize) is DynamicStep else None
-    need_hessian = dynamic is not None
-
-    # The default configuration — scaled-step policy, fixed/dynamic
-    # stepsize, gradient-spread stopping, pure M/M/1 nodes — admits a
-    # fully inlined loop with no per-iteration Python object calls at
-    # all.  Exact types only: subclasses may override anything.
-    if (
-        (fixed_alpha is not None or dynamic is not None)
-        and type(active_set) is ScaledStep
-        and type(allocator.termination) is GradientSpreadCriterion
-        and getattr(problem, "_mm1_mu", None) is not None
-        and problem.n > 0
-        and bool(np.isfinite(problem._mm1_mu).all())
-    ):
-        return _run_specialized(allocator, x, raise_on_failure=raise_on_failure)
-
-    trace = Trace(
-        keep_allocations=allocator.keep_allocations, sample_every=sample_every
-    )
-
-    def emit(record: IterationRecord) -> None:
-        trace.append(record)
-        if allocator.callback is not None:
-            allocator.callback(record)
-
-    def next_alpha(iteration: int, g: np.ndarray, hessian) -> float:
-        if fixed_alpha is not None:
-            return fixed_alpha
-        if dynamic is not None:
-            return _dynamic_alpha(dynamic, g, hessian)
-        return stepsize.alpha(iteration, x, g, problem)
-
-    with maybe_timer(reg, "allocator.run_seconds"):
-        evaluated = problem.evaluate(x, need_hessian=need_hessian)
-        cost = evaluated[0]
-        g = -evaluated[1]
-        hessian = evaluated[2] if need_hessian else None
-        alpha = next_alpha(0, g, hessian)
-        dx, mask = active_set.apply(x, g, alpha)
-        active_count = int(mask.sum())
-        if reg is not None:
-            reg.event(
-                "iteration",
-                i=0,
-                cost=cost,
-                spread=spread(g[mask]),
-                active=active_count,
-            )
-        emit(
-            IterationRecord(
-                iteration=0,
-                allocation=x.copy(),
-                cost=cost,
-                utility=-cost,
-                gradient_spread=spread(g[mask]),
-                alpha=float("nan"),
-                active_count=active_count,
-            )
-        )
-
-        converged = allocator.termination.should_stop(0, x, g, mask, cost)
-        iteration = 0
-        prev_cost = cost
-        prev_active = active_count
-        shrink_events = 0
-        monotonicity_violations = 0
-        while not converged and iteration < allocator.max_iterations:
-            iteration += 1
-            applied_alpha = alpha
-            x = allocator._apply(x, dx)
-            evaluated = problem.evaluate(x, need_hessian=need_hessian)
-            cost = evaluated[0]
-            g = -evaluated[1]
-            if need_hessian:
-                hessian = evaluated[2]
-            stepsize.notify_cost(iteration, cost)
-            alpha = next_alpha(iteration, g, hessian)
-            dx, mask = active_set.apply(x, g, alpha)
-            if reg is not None:
-                active_count = int(mask.sum())
-                if active_count < prev_active:
-                    shrink_events += 1
-                prev_active = active_count
-                if cost > prev_cost + 1e-12:
-                    monotonicity_violations += 1
-                prev_cost = cost
-            if iteration % sample_every == 0:
-                step_spread = spread(g[mask])
-                active_count = int(mask.sum())
-                if reg is not None:
-                    reg.observe("allocator.alpha", applied_alpha)
-                    reg.event(
-                        "iteration",
-                        i=iteration,
-                        cost=cost,
-                        alpha=applied_alpha,
-                        spread=step_spread,
-                        active=active_count,
-                    )
-                emit(
-                    IterationRecord(
-                        iteration=iteration,
-                        allocation=x.copy(),
-                        cost=cost,
-                        utility=-cost,
-                        gradient_spread=step_spread,
-                        alpha=applied_alpha,
-                        active_count=active_count,
-                    )
-                )
-            converged = allocator.termination.should_stop(
-                iteration, x, g, mask, cost
-            )
-
-        if trace.records[-1].iteration != iteration:
-            # The loop exited between sample points: always record the
-            # final iterate (the trace's "most recent" contract).
-            emit(
-                IterationRecord(
-                    iteration=iteration,
-                    allocation=x.copy(),
-                    cost=cost,
-                    utility=-cost,
-                    gradient_spread=spread(g[mask]),
-                    alpha=applied_alpha,
-                    active_count=int(mask.sum()),
-                )
-            )
-
-    if reg is not None:
-        # Counter totals match the reference loop exactly; only the
-        # per-iteration event stream is sampled.
-        if iteration:
-            reg.counter_inc("allocator.iterations", iteration)
-        reg.counter_inc("allocator.gradient_evals", iteration + 1)
-        if shrink_events:
-            reg.counter_inc("allocator.active_set_shrink", shrink_events)
-        if monotonicity_violations:
-            reg.counter_inc(
-                "allocator.monotonicity_violations", monotonicity_violations
-            )
-        reg.gauge_set("allocator.final_cost", cost)
-        reg.gauge_set("allocator.converged", float(converged))
-        reg.gauge_set("allocator.active_count", int(mask.sum()))
-        reg.gauge_max("allocator.trace_peak_bytes", trace.peak_allocation_bytes)
-        reg.event(
-            "run_complete",
-            iterations=iteration,
-            cost=cost,
-            converged=converged,
-        )
-    if not converged and raise_on_failure:
-        raise ConvergenceError(
-            f"no convergence in {allocator.max_iterations} iterations "
-            f"(spread={spread(g[mask]):g}, epsilon={allocator.epsilon:g})",
-            iterations=iteration,
-        )
-    return AllocationResult(
-        allocation=x,
-        cost=cost,
-        utility=-cost,
-        iterations=iteration,
-        converged=converged,
-        trace=trace,
-    )
-
-
-def _run_specialized(allocator, x, *, raise_on_failure):
-    """The default-configuration loop with every policy object inlined.
-
-    Dispatch (from :func:`run_fast`) requires exactly :class:`ScaledStep`,
-    :class:`FixedStep`/:class:`DynamicStep`, :class:`GradientSpreadCriterion`,
-    and a pure-M/M/1 problem with finite service rates.  Under those types
-    one iteration is ~15 vectorized numpy calls and zero Python-level
-    policy dispatch, yet every float is produced by the *same expression
-    shapes* as the reference path, so the iterate sequence stays
-    bit-for-bit identical:
+    Under those types one iteration is ~19 vectorized numpy calls and
+    zero Python-level policy dispatch, yet every float is produced by the
+    *same expression shapes* as the reference path, so the iterate
+    sequence stays bit-for-bit identical:
 
     * the step works on the cost gradient ``cg`` directly instead of
       materializing ``g = -cg``: IEEE-754 rounding is sign-symmetric, so
-      ``mean(-cg) == -mean(cg)``, ``fl((-cg_i) - (-m)) == fl(m - cg_i)``,
-      and ``dev**2`` is sign-invariant — the negation never needs to
-      happen;
+      ``mean(-cg) == -mean(cg)`` and ``fl((-cg_i) - (-m)) == fl(m - cg_i)``
+      — the negation never needs to happen;
     * the cost is evaluated lazily — only for sampled trace records, the
       final iterate, or every iteration when a registry is attached
-      (``FixedStep``/``DynamicStep`` are known not to override the no-op
-      ``notify_cost`` hook);
+      (``FixedStep`` does not override the no-op ``notify_cost`` hook,
+      and neither default policy has state to reset);
     * the boundary machinery is *checked*, not run: while ``x.min()``
       stays off the boundary and ``x + dx`` stays non-negative (the
       overwhelmingly common case), :class:`ScaledStep`'s pin loop,
@@ -289,10 +94,13 @@ def _run_specialized(allocator, x, *, raise_on_failure):
       check trips, the iteration falls back to the real policy objects
       for that step.
     """
-    from repro.core.algorithm import AllocationResult
+    from repro.core.algorithm import AllocationResult, _drift_error
 
     problem = allocator.problem
-    stepsize = allocator.stepsize
+    if initial_allocation is None:
+        x = uniform_allocation(problem.n)
+    else:
+        x = problem.check_feasible(initial_allocation).copy()
     active_set = allocator.active_set
     reg = allocator.registry
     callback = allocator.callback
@@ -301,17 +109,14 @@ def _run_specialized(allocator, x, *, raise_on_failure):
     max_iterations = allocator.max_iterations
     epsilon = allocator.termination.epsilon
     zero_tol = active_set.zero_tol
+    alpha = allocator.stepsize.value
 
     mu = problem._mm1_mu
     lam = problem.total_rate
     k = problem.k
     access = problem.access_cost
-    two_lam = 2.0 * lam  # matches the scalar fold of ``2.0 * lam * dt``
     n = problem.n
     all_mask = np.ones(n, dtype=bool)
-
-    dynamic = stepsize if type(stepsize) is DynamicStep else None
-    fixed_alpha = stepsize.value if type(stepsize) is FixedStep else None
     need_cost = reg is not None
 
     trace = Trace(
@@ -336,28 +141,11 @@ def _run_specialized(allocator, x, *, raise_on_failure):
             problem.evaluate(xv)
             raise AssertionError("evaluate accepted an unstable state")
         t = 1.0 / gap
-        gapsq = gap * gap
-        dt = 1.0 / gapsq
+        dt = 1.0 / (gap * gap)
         cg = access + k * (t + arrivals * dt)
-        return arrivals, gap, gapsq, t, dt, cg
+        return t, cg
 
-    def next_alpha(cg, cg_mean, arrivals, gap, gapsq, dt):
-        if fixed_alpha is not None:
-            return fixed_alpha
-        # DynamicStep.alpha via sign symmetry: dev here is the exact
-        # negation of the reference ``g - g.mean()``, so ``dev**2`` and
-        # s1 match bitwise and s2 is the exact negation of the sum.
-        dev = cg - cg_mean
-        dev2 = dev**2
-        s1 = float(np.sum(dev2))
-        d2t = 2.0 / (gapsq * gap)
-        hess = k * (two_lam * dt + (arrivals * lam) * d2t)
-        s2 = -float(np.sum(hess * dev2))
-        if s2 >= 0 or s1 == 0:
-            return dynamic.fallback
-        return dynamic.safety * (-s1 / s2)
-
-    def compute_step(xv, x_min, cg, cg_mean, alpha):
+    def compute_step(xv, x_min, cg, cg_mean):
         """One ``ScaledStep.apply`` — inlined when no boundary is in play.
 
         Returns ``(dx, mask, all_active, cand, cand_min)``; ``cand`` is
@@ -375,23 +163,20 @@ def _run_specialized(allocator, x, *, raise_on_failure):
         dx, mask = active_set.apply(xv, -cg, alpha)
         return dx, mask, bool(mask.all()), None, None
 
-    with maybe_timer(reg, "allocator.run_seconds"):
-        arrivals, gap, gapsq, t, dt, cg = derivatives(x)
-        cost = float(np.sum((access + k * t) * x))
-        cg_mean = cg.mean()
-        alpha = next_alpha(cg, cg_mean, arrivals, gap, gapsq, dt)
-        dx, mask, all_active, cand, cand_min = compute_step(
-            x, x.min(), cg, cg_mean, alpha
-        )
+    def spread_of(cg, mask, all_active):
+        """``(active_count, spread, empty)`` of the prospective step."""
         if all_active:
-            active_count = n
-            step_spread = float(cg.max() - cg.min())
-            empty = False
-        else:
-            gm = cg[mask]
-            active_count = int(mask.sum())
-            empty = gm.size == 0
-            step_spread = 0.0 if empty else float(gm.max() - gm.min())
+            return n, float(cg.max() - cg.min()), False
+        gm = cg[mask]
+        if gm.size == 0:
+            return 0, 0.0, True
+        return gm.size, float(gm.max() - gm.min()), False
+
+    with maybe_timer(reg, "allocator.run_seconds"):
+        t, cg = derivatives(x)
+        cost = float(np.sum((access + k * t) * x))
+        dx, mask, all_active, cand, cand_min = compute_step(x, x.min(), cg, cg.mean())
+        active_count, step_spread, empty = spread_of(cg, mask, all_active)
         if reg is not None:
             reg.event(
                 "iteration", i=0, cost=cost, spread=step_spread,
@@ -411,7 +196,6 @@ def _run_specialized(allocator, x, *, raise_on_failure):
 
         converged = True if empty else step_spread < epsilon
         iteration = 0
-        applied_alpha = float("nan")
         x_sum = x.sum() if validate else None
         prev_cost = cost
         prev_active = active_count
@@ -419,18 +203,14 @@ def _run_specialized(allocator, x, *, raise_on_failure):
         monotonicity_violations = 0
         while not converged and iteration < max_iterations:
             iteration += 1
-            applied_alpha = alpha
             # -- advance the iterate (reference ``_apply`` semantics).
             # cand_min >= 0 makes the negativity checks/clamps no-ops;
-            # only the sum-drift assertion can observe anything.
+            # only the sum-drift check can observe anything.
             if cand is not None:
                 if validate:
                     new_sum = cand.sum()
-                    if abs(new_sum - x_sum) > 1e-9:
-                        raise AssertionError(
-                            f"feasibility broken: sum moved from {x_sum!r} "
-                            f"to {new_sum!r}"
-                        )
+                    if not abs(new_sum - x_sum) <= 1e-9:
+                        raise _drift_error(x_sum, new_sum)
                     x_sum = new_sum
                 x = cand
                 x_min = cand_min
@@ -440,24 +220,14 @@ def _run_specialized(allocator, x, *, raise_on_failure):
                     x_sum = x.sum()
                 x_min = x.min()
 
-            arrivals, gap, gapsq, t, dt, cg = derivatives(x)
+            t, cg = derivatives(x)
             cost = (
                 float(np.sum((access + k * t) * x)) if need_cost else None
             )
-            cg_mean = cg.mean()
-            alpha = next_alpha(cg, cg_mean, arrivals, gap, gapsq, dt)
             dx, mask, all_active, cand, cand_min = compute_step(
-                x, x_min, cg, cg_mean, alpha
+                x, x_min, cg, cg.mean()
             )
-            if all_active:
-                active_count = n
-                step_spread = float(cg.max() - cg.min())
-                empty = False
-            else:
-                gm = cg[mask]
-                active_count = int(mask.sum())
-                empty = gm.size == 0
-                step_spread = 0.0 if empty else float(gm.max() - gm.min())
+            active_count, step_spread, empty = spread_of(cg, mask, all_active)
             if reg is not None:
                 if active_count < prev_active:
                     shrink_events += 1
@@ -469,12 +239,12 @@ def _run_specialized(allocator, x, *, raise_on_failure):
                 if cost is None:
                     cost = float(np.sum((access + k * t) * x))
                 if reg is not None:
-                    reg.observe("allocator.alpha", applied_alpha)
+                    reg.observe("allocator.alpha", alpha)
                     reg.event(
                         "iteration",
                         i=iteration,
                         cost=cost,
-                        alpha=applied_alpha,
+                        alpha=alpha,
                         spread=step_spread,
                         active=active_count,
                     )
@@ -485,7 +255,7 @@ def _run_specialized(allocator, x, *, raise_on_failure):
                         cost=cost,
                         utility=-cost,
                         gradient_spread=step_spread,
-                        alpha=applied_alpha,
+                        alpha=alpha,
                         active_count=active_count,
                     )
                 )
@@ -494,6 +264,8 @@ def _run_specialized(allocator, x, *, raise_on_failure):
         if cost is None:
             cost = float(np.sum((access + k * t) * x))
         if trace.records[-1].iteration != iteration:
+            # The loop exited between sample points: always record the
+            # final iterate (the trace's "most recent" contract).
             emit(
                 IterationRecord(
                     iteration=iteration,
@@ -501,12 +273,14 @@ def _run_specialized(allocator, x, *, raise_on_failure):
                     cost=cost,
                     utility=-cost,
                     gradient_spread=step_spread,
-                    alpha=applied_alpha,
+                    alpha=alpha,
                     active_count=active_count,
                 )
             )
 
     if reg is not None:
+        # Counter totals match the reference loop exactly; only the
+        # per-iteration event stream is sampled.
         if iteration:
             reg.counter_inc("allocator.iterations", iteration)
         reg.counter_inc("allocator.gradient_evals", iteration + 1)
@@ -540,11 +314,3 @@ def _run_specialized(allocator, x, *, raise_on_failure):
         converged=converged,
         trace=trace,
     )
-
-
-def solve_fast(problem, **kwargs):
-    """:func:`repro.core.algorithm.solve` on the fast engine — one call,
-    fused evaluation, sampled trace.  Accepts every ``solve`` keyword."""
-    from repro.core.algorithm import solve
-
-    return solve(problem, engine="fast", **kwargs)

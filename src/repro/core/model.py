@@ -105,7 +105,13 @@ class FileAllocationProblem:
         else:
             if mu is None:
                 raise ConfigurationError("provide either mu or delay_models")
-            mus = np.broadcast_to(np.asarray(mu, dtype=float), (n,)).copy()
+            mus = np.asarray(mu, dtype=float)
+            if mus.ndim > 1 or mus.size not in (1, n):
+                raise ConfigurationError(
+                    f"mu must be one number or {n} per-node rates, "
+                    f"got shape {mus.shape}"
+                )
+            mus = np.broadcast_to(mus, (n,))
             for i, m in enumerate(mus):
                 check_positive(float(m), f"mu[{i}]")
             models = [MM1Delay(float(m)) for m in mus]
@@ -253,7 +259,7 @@ class FileAllocationProblem:
         lam = self.total_rate
         return self.k * (2.0 * lam * dt + arr * lam * lam * d2t)
 
-    # -- fused evaluation (the serial solver hot path) ---------------------------
+    # -- fused evaluation (the second-order solver's hot path) -------------------
 
     @property
     def has_vectorized_evaluate(self) -> bool:
@@ -267,14 +273,14 @@ class FileAllocationProblem:
         Computes everything :meth:`cost`, :meth:`cost_gradient` (and, with
         ``need_hessian=True``, :meth:`cost_hessian_diag`) would return, but
         in a single pass sharing the ``1/(mu - lambda x)`` reciprocals —
-        the per-iteration hot path of the solvers.  On the vectorized
-        M/M/1 route there are no per-node Python calls at all; other delay
-        models use one object loop instead of the two or three the separate
-        methods would make.
+        the per-iteration hot path of the second-order solver.  On the
+        vectorized M/M/1 route there are no per-node Python calls at all;
+        other delay models use one object loop instead of the two or three
+        the separate methods would make.
 
         Every returned value is **bit-for-bit identical** to the separate
-        methods' results (the parity the fast solver engine and the §8.2
-        second-order allocator rely on).
+        methods' results (the parity the §8.2 second-order allocator
+        relies on).
         """
         arr = np.asarray(x, dtype=float)
         if self._mm1_mu is not None:

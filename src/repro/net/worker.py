@@ -148,8 +148,9 @@ def solve_payloads(
     """Solve one group of wire-format payloads; responses in input order.
 
     Parse failures become in-band error dicts; an unexpected dispatch
-    exception becomes an error dict on every still-unresolved slot —
-    the worker never dies because one payload was poisonous.
+    exception becomes an error dict on every request it left unresolved
+    (those the service already answered keep their answers) — the worker
+    never dies because one payload was poisonous.
 
     ``hints`` (aligned with ``payloads``) carries the server's lookaside
     donors; they are loaded into the service's pipe-lookaside hook so a
@@ -170,20 +171,21 @@ def solve_payloads(
         tickets.append((i, service.submit(request)))
     if isinstance(getattr(service, "lookaside", None), _PipeLookaside):
         service.lookaside.load_hints(hint_map)
+    failure = "dispatch failed: the service left the request unresolved"
     try:
         if any(not ticket.done() for _, ticket in tickets):
             service.pump()
-        for i, ticket in tickets:
-            slots[i] = ticket.response.as_dict()
     except Exception as exc:  # noqa: BLE001 - the worker must survive anything
-        detail = f"{type(exc).__name__}: {exc}"
-        for i, ticket in tickets:
-            if slots[i] is None:
-                slots[i] = {
-                    "id": ticket.request.request_id,
-                    "status": "error",
-                    "detail": f"dispatch failed: {detail}",
-                }
+        failure = f"dispatch failed: {type(exc).__name__}: {exc}"
+    for i, ticket in tickets:
+        if ticket.done():
+            slots[i] = ticket.response.as_dict()
+        else:
+            slots[i] = {
+                "id": ticket.request.request_id,
+                "status": "error",
+                "detail": failure,
+            }
     return slots  # type: ignore[return-value]
 
 

@@ -282,26 +282,36 @@ def _checked_update(
     the update ``x -> new_x`` (``new_x`` may be edited in place and is
     returned): Theorem-1 feasibility asserts plus pro-rata clamp
     redistribution of sub-1e-9 round-off residue (rare; handled per
-    affected row with the serial scalar arithmetic)."""
+    affected row with the serial scalar arithmetic).
+
+    A row whose sum is not finite took a step that overflowed.  That is
+    the row's own fault, not a Theorem-1 violation: it passes unchecked,
+    and the next stability check fails it alone."""
     if not validate:
         return new_x
     # NaN-skipping reductions (np.fmax, np.fmin): one row's NaN must not
     # hide another row's violation.  The min gates the negativity checks.
-    drift = np.abs(np.add.reduce(new_x, axis=1) - np.add.reduce(x, axis=1))
+    # Only once a check trips are rows looked at one by one.
+    new_sums = np.add.reduce(new_x, axis=1)
+    drift = np.abs(new_sums - np.add.reduce(x, axis=1))
     if np.fmax.reduce(drift) > 1e-9:
-        r = int(np.argmax(drift))
-        raise AssertionError(
-            f"feasibility broken in batch row {r}: sum moved from "
-            f"{x[r].sum()!r} to {new_x[r].sum()!r}"
-        )
+        broken = np.flatnonzero((drift > 1e-9) & np.isfinite(new_sums))
+        if broken.size:
+            r = int(broken[0])
+            raise AssertionError(
+                f"feasibility broken in batch row {r}: sum moved from "
+                f"{x[r].sum()!r} to {new_x[r].sum()!r}"
+            )
     if not np.fmin.reduce(new_x, axis=None) < 0.0:
         return new_x
-    if np.any(new_x < -1e-9):
-        r = int(np.argwhere(new_x < -1e-9)[0, 0])
+    finite = np.isfinite(new_sums)[:, None]
+    low = (new_x < -1e-9) & finite
+    if np.any(low):
+        r = int(np.argwhere(low)[0, 0])
         raise AssertionError(
             f"negative allocation in batch row {r}: min={new_x[r].min()!r}"
         )
-    for r in np.flatnonzero((new_x < 0.0).any(axis=1)):
+    for r in np.flatnonzero(((new_x < 0.0) & finite).any(axis=1)):
         row = new_x[r]
         negative = row < 0.0
         target_sum = float(row.sum())

@@ -17,8 +17,9 @@ models (the kernel's closed-form evaluation) —
 :class:`ContinuousBatchKey`.  Groups are not split: its own
 ``capacity`` (= ``max_batch``) queues the overflow while keeping slots
 full.  Everything else — exotic delay models and odd sizes — dispatches
-as a singleton on the fused fast path, which satisfies the same parity
-contract.
+as a singleton through ``solve(engine="fast")``, which satisfies the
+same parity contract: the fast path's inlined loop for an M/M/1 problem,
+the reference loop for an exotic delay model.
 
 :class:`MicroBatcher` does the grouping.  There is no dispatch window:
 the service plans a group from whatever is pending when it pumps, and

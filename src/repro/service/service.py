@@ -12,7 +12,8 @@ everything the earlier layers provide:
   **micro-batcher** groups what remains into row-staggered
   :class:`~repro.parallel.ContinuousBatcher` dispatches — converged
   rows retire mid-flight and freed slots refill from the pending queue
-  (singletons take the fused fast path);
+  (singletons run ``solve(engine="fast")``: the fast path's inlined
+  loop for M/M/1 problems, the reference loop for any other);
 * every response records how it was produced (cache disposition, batch
   size, queue-to-response latency) and the registry accumulates the
   service's operational story: queue depth, batch occupancy,
@@ -141,7 +142,7 @@ class AllocationService:
         submitted *while the batch is solving*, in threaded mode), and
         requests need only share ``n`` to group — per-request epsilon
         and budget ride along.  1 disables micro-batching (every request
-        runs the singleton fast path).
+        runs the singleton path).
     cache:
         A :class:`~repro.service.cache.SolutionCache` to use, or ``None``
         to build one from the ``cache_*`` / ``max_warm_distance`` /

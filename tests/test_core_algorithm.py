@@ -16,7 +16,7 @@ from repro.core.kkt import check_kkt, optimal_allocation
 from repro.core.model import FileAllocationProblem
 from repro.core.stepsize import StepSizePolicy
 from repro.core.termination import CostDeltaCriterion, GradientSpreadCriterion
-from repro.exceptions import ConfigurationError, ConvergenceError
+from repro.exceptions import ConfigurationError, ConvergenceError, StabilityError
 from repro.network.builders import complete_graph, star_graph
 
 
@@ -292,6 +292,33 @@ class TestFeasibilityDrift:
         allocator.run(paper_start)
         assert registry.counters["allocator.clamp_events"] == 50
         assert registry.counters["allocator.clamped_mass"] > 0.0
+
+
+def overflow_problem() -> FileAllocationProblem:
+    """Finite costs whose marginal utilities sum past the float range: the
+    first step's mean overflows and the iterate leaves the finite range."""
+    big = 1e308
+    return FileAllocationProblem(
+        [[0, big, big], [big, 0, big], [big, big, 0]], [0.3, 0.3, 0.4], k=1.0, mu=2.0
+    )
+
+
+class TestOverflowingStep:
+    """A step that overflows is the request's own StabilityError; a finite
+    Theorem-1 violation stays an AssertionError (a solver defect)."""
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_non_finite_iterate_is_a_stability_error(self, engine):
+        allocator = DecentralizedAllocator(overflow_problem(), alpha=0.3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StabilityError, match="finite range"):
+                allocator.run([1.0, 0.0, 0.0], engine=engine)
+
+    def test_finite_drift_is_still_an_assertion(self, paper_problem):
+        allocator = DecentralizedAllocator(paper_problem, alpha=0.3)
+        x = np.full(4, 0.25)
+        with pytest.raises(AssertionError, match="feasibility broken"):
+            allocator._apply(x, np.array([1e-6, 0.0, 0.0, 0.0]))
 
 
 class _LinearStep(StepSizePolicy):

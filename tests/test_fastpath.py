@@ -4,10 +4,12 @@ The load-bearing property is **bit-for-bit iterate parity**: the fast
 engine (:mod:`repro.core.fastpath`) must reproduce the reference
 :meth:`DecentralizedAllocator.run` loop exactly — same iterates, same
 costs, same iteration counts, same registry counter totals — not merely
-to tolerance.  Only the trace *density* may differ (the fast engine
+to tolerance.  Only the trace *density* may differ (the inlined loop
 samples).  The property is exercised over a seeded population of random
 problems spanning active-set shrinkage, every stepsize-policy family,
-non-convergence, and registry attachment.
+non-convergence, and registry attachment.  Outside the inlined
+configuration ``engine="fast"`` is the reference run itself, observable
+stream included.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from repro.core import (
     FileAllocationProblem,
     SecondOrderAllocator,
     solve,
-    solve_fast,
 )
+from repro.core import fastpath
 from repro.core.initials import paper_skewed_allocation, single_node_allocation
 from repro.core.stepsize import (
     BacktrackingLineSearch,
@@ -29,10 +31,11 @@ from repro.core.stepsize import (
     DynamicStep,
     TheoremTwoStep,
 )
+from repro.core.termination import CostDeltaCriterion
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.experiments.sweeps import parameter_sweep
 from repro.network.builders import complete_graph, ring_graph
-from repro.obs import MetricsRegistry
+from repro.obs import MemorySink, MetricsRegistry
 from repro.parallel import make_tasks, solve_grid_point, sweep_parallel
 from repro.queueing.md1 import MD1Delay
 
@@ -66,7 +69,7 @@ def _stepsize_for(kind: int, rng: np.random.Generator):
     if kind == 0:
         return float(rng.uniform(0.1, 0.4))  # FixedStep via make_stepsize
     if kind == 1:
-        return DynamicStep()  # fast path's closed-form branch
+        return DynamicStep()
     if kind == 2:
         return DecayOnOscillation(float(rng.uniform(0.2, 0.5)), patience=3)
     if kind == 3:
@@ -219,16 +222,6 @@ def test_unknown_engine_rejected():
 # -- entry points and trace policies ------------------------------------------
 
 
-def test_solve_fast_is_solve_with_fast_engine():
-    problem = FileAllocationProblem.paper_network()
-    x0 = [0.8, 0.1, 0.1, 0.0]
-    a = solve(problem, alpha=0.3, initial_allocation=x0, engine="fast")
-    b = solve_fast(problem, alpha=0.3, initial_allocation=x0)
-    c = solve(problem, alpha=0.3, initial_allocation=x0)
-    _assert_same_result(a, c)
-    _assert_same_result(b, c)
-
-
 def test_fast_engine_respects_trace_memory_policies():
     rng = np.random.default_rng(7)
     problem = _random_problem(rng)
@@ -318,6 +311,113 @@ def test_evaluate_object_loop_fallback_for_non_mm1_models():
     ref = DecentralizedAllocator(problem, alpha=0.2).run()
     fast = DecentralizedAllocator(problem, alpha=0.2).run(engine="fast")
     _assert_same_result(fast, ref)
+
+
+# -- outside the inlined configuration, engine="fast" is the reference run ----
+
+
+def _md1_problem() -> FileAllocationProblem:
+    n = 5
+    return FileAllocationProblem.from_topology(
+        ring_graph(n),
+        [0.3, 0.25, 0.2, 0.15, 0.1],
+        k=1.0,
+        delay_models=[MD1Delay(2.0) for _ in range(n)],
+    )
+
+
+#: Each configuration the inlined loop does not run, as a factory of
+#: ``(problem, allocator keywords)``; fresh policy objects per run.
+FALLBACK_CONFIGS = {
+    "dynamic-step": lambda: (_random_problem(np.random.default_rng(5)), dict(alpha=DynamicStep())),
+    "decay-on-oscillation": lambda: (
+        _random_problem(np.random.default_rng(6)),
+        dict(alpha=DecayOnOscillation(0.4, patience=3)),
+    ),
+    "theorem-two-step": lambda: (
+        _random_problem(np.random.default_rng(7)), dict(alpha=TheoremTwoStep(1e-4))
+    ),
+    "backtracking": lambda: (
+        _random_problem(np.random.default_rng(8)),
+        dict(alpha=BacktrackingLineSearch(initial=0.5)),
+    ),
+    "paper-active-set": lambda: (
+        _random_problem(np.random.default_rng(9)), dict(alpha=0.2, active_set="paper")
+    ),
+    "cost-delta-termination": lambda: (
+        _random_problem(np.random.default_rng(10)),
+        dict(alpha=0.2, termination=CostDeltaCriterion(1e-9)),
+    ),
+    "md1-nodes": lambda: (_md1_problem(), dict(alpha=0.2)),
+}
+
+
+def _observed_run(engine: str, config: str):
+    """One run under full observation: result, registry snapshot, sink
+    events, and every record the callback saw."""
+    problem, kwargs = FALLBACK_CONFIGS[config]()
+    registry = MetricsRegistry()
+    sink = MemorySink()
+    registry.add_sink(sink)
+    seen = []
+    result = DecentralizedAllocator(
+        problem,
+        epsilon=1e-4,
+        max_iterations=3000,
+        registry=registry,
+        callback=seen.append,
+        sample_every=7,
+        **kwargs,
+    ).run(single_node_allocation(problem.n, 0), engine=engine)
+    return result, registry.snapshot(), sink.events, seen
+
+
+def _assert_same_records(a, b) -> None:
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.iteration == y.iteration
+        assert x.cost == y.cost and x.utility == y.utility
+        assert x.gradient_spread == y.gradient_spread
+        assert x.active_count == y.active_count
+        assert np.array_equal(x.alpha, y.alpha, equal_nan=True)
+        assert np.array_equal(x.allocation, y.allocation)
+
+
+@pytest.mark.parametrize("config", sorted(FALLBACK_CONFIGS))
+def test_fast_engine_outside_the_inlined_loop_is_the_reference_run(config):
+    problem, kwargs = FALLBACK_CONFIGS[config]()
+    assert not fastpath.inlines(DecentralizedAllocator(problem, **kwargs))
+    fast, fast_snap, fast_events, fast_seen = _observed_run("fast", config)
+    ref, ref_snap, ref_events, ref_seen = _observed_run("reference", config)
+
+    _assert_same_result(fast, ref)
+    assert fast.trace.iterations == ref.trace.iterations
+    # the dense trace, not a sample of it
+    _assert_same_records(fast.trace.records, ref.trace.records)
+    assert len(ref.trace.records) == ref.iterations + 1
+    assert fast_snap["counters"] == ref_snap["counters"]
+    assert fast_snap["gauges"] == ref_snap["gauges"]
+    timer = "allocator.run_seconds"
+    assert {k: v for k, v in fast_snap["histograms"].items() if k != timer} == {
+        k: v for k, v in ref_snap["histograms"].items() if k != timer
+    }
+    # the events carry no clock reading; the whole stream must match
+    # (a NaN field matches a NaN field)
+    assert len(fast_events) == len(ref_events) > ref.iterations
+    for a, b in zip(fast_events, ref_events):
+        assert a.keys() == b.keys()
+        assert all(a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a), (a, b)
+    _assert_same_records(fast_seen, ref_seen)
+
+
+def test_fast_engine_inlines_the_default_configuration():
+    problem = FileAllocationProblem.paper_network()
+    assert fastpath.inlines(DecentralizedAllocator(problem, alpha=0.3))
+    # per-node service rates are still plain M/M/1
+    per_node = FileAllocationProblem(
+        problem.cost_matrix, problem.access_rates, mu=[1.5, 1.6, 1.7, 1.8]
+    )
+    assert fastpath.inlines(DecentralizedAllocator(per_node, alpha=0.3))
 
 
 # -- second-order allocator rides the fused evaluate --------------------------

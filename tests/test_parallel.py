@@ -603,6 +603,41 @@ class TestContinuousParity:
             )
             _assert_row_matches_solo(rows[i], solo)
 
+    def test_overflowing_row_fails_alone_without_poisoning_slotmates(self):
+        # Row 0's first step overflows (gradients near the float maximum);
+        # its iterate leaves the finite range and the next stability
+        # check fails that row alone.
+        big = 1e308
+        bad = FileAllocationProblem(
+            [[0, big, big], [big, 0, big], [big, big, 0]], [0.3, 0.3, 0.4], mu=2.0
+        )
+        rng = np.random.default_rng(12)
+        healthy = [_random_problem_n(rng, 3) for _ in range(2)]
+        cb = ContinuousBatcher(capacity=3, epsilon=1e-5)
+        cb.submit(bad, alpha=0.3, x0=single_node_allocation(3, 0), tag="bad")
+        for i, problem in enumerate(healthy):
+            cb.submit(problem, alpha=0.2, x0=paper_skewed_allocation(3), tag=i)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = {r.tag: r for r in cb.drain()}
+        assert "unstable" in rows["bad"].error
+        for i, problem in enumerate(healthy):
+            solo = _solo(
+                problem, alpha=0.2, epsilon=1e-5, max_iterations=100_000,
+                x0=paper_skewed_allocation(3),
+            )
+            _assert_row_matches_solo(rows[i], solo)
+
+    def test_finite_drift_still_raises(self):
+        x = np.full((2, 3), 1.0 / 3)
+        new_x = x.copy()
+        new_x[0, 0] = np.inf  # an overflowed row passes unchecked
+        new_x[1, 0] += 1e-6  # a finite drift is a defect
+        with pytest.raises(AssertionError, match="batch row 1"):
+            batched_module._checked_update(x, new_x, validate=True, registry=None)
+        new_x[1] = x[1]
+        out = batched_module._checked_update(x, new_x, validate=True, registry=None)
+        assert out[0, 0] == np.inf
+
     def test_infeasible_x0_fails_at_admission(self):
         rng = np.random.default_rng(11)
         problem = _random_problem_n(rng, 4)
