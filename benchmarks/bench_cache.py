@@ -62,7 +62,7 @@ import numpy as np
 from repro.core.algorithm import solve
 from repro.core.model import FileAllocationProblem
 from repro.obs import MetricsRegistry
-from repro.service import AllocationService, SolveRequest
+from repro.service import ServiceConfig, SolveRequest
 from repro.workloads import hotspot_rates, perturbed_rates, zipf_rates
 
 MAX_ITERATIONS = 20_000
@@ -154,12 +154,9 @@ def bench_eviction(*, n, hot_count, scan_count, rounds, capacity) -> dict:
     rows = {}
     for policy in ("lru", "cost"):
         registry = MetricsRegistry()
-        service = AllocationService(
-            max_batch=1,
-            cache_size=capacity,
-            cache_eviction=policy,
-            registry=registry,
-        )
+        service = ServiceConfig(
+            max_batch=1, cache_size=capacity, cache_eviction=policy
+        ).build(registry=registry)
         requests = hotspot_stream(
             n=n, hot_count=hot_count, scan_count=scan_count, rounds=rounds
         )
@@ -225,9 +222,9 @@ def shift_stream(*, n, networks, passes, seed=11):
 def bench_shift(*, n, networks, passes, capacity) -> dict:
     rows = {}
     for policy in ("lru", "cost"):
-        service = AllocationService(
-            max_batch=1, cache_size=capacity, cache_eviction=policy,
-        )
+        service = ServiceConfig(
+            max_batch=1, cache_size=capacity, cache_eviction=policy
+        ).build()
         row = {}
         for phase, requests in enumerate(shift_stream(
             n=n, networks=networks, passes=passes
@@ -265,13 +262,9 @@ def bench_drift(*, n, phases, repeats_per_phase, threshold, window) -> dict:
     base = hotspot_rates(n, hot_node=0, hot_share=0.5, total=0.6)
 
     registry = MetricsRegistry()
-    service = AllocationService(
-        max_batch=1,
-        cache_size=64,
-        drift_threshold=threshold,
-        drift_window=window,
-        registry=registry,
-    )
+    service = ServiceConfig(
+        max_batch=1, cache_size=64, drift_threshold=threshold, drift_window=window
+    ).build(registry=registry)
     def phase_request(phase: int, rid: str) -> SolveRequest:
         # +25% per phase: ~0.2 relative shift per rate component, which
         # the EMA accumulates past the 0.25 threshold a few observations
@@ -372,7 +365,7 @@ def bench_lookaside(*, bases, rounds, nodes, workers) -> dict:
     stream = drifting_payloads(bases=bases, rounds=rounds, nodes=nodes)
 
     # Reference leg: no caching anywhere; every answer is a cold solve.
-    with NetServer(port=0, workers=1, cache_size=0) as server:
+    with NetServer(port=0, workers=1, service=ServiceConfig(cache_size=0)) as server:
         host, port = server.address
         with NetClient(host, port, timeout_s=300.0) as client:
             reference = [client.solve_payload(dict(p)) for p in stream]

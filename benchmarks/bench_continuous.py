@@ -49,7 +49,7 @@ from repro.core.algorithm import solve
 from repro.core.model import FileAllocationProblem
 from repro.obs import MetricsRegistry
 from repro.parallel import BatchedAllocator, BatchedProblem, ChainLink, solve_chains
-from repro.service import AllocationService, SolveRequest
+from repro.service import ServiceConfig, SolveRequest
 
 EPSILON = 1e-5
 MAX_ITERATIONS = 20_000
@@ -108,8 +108,8 @@ def bench_stream(n: int, length: int, capacity: int, *, repeats: int) -> dict:
         # One burst of L requests against C slots: ContinuousBatcher keeps
         # one C-slot batch full from the backlog.
         registries.append(MetricsRegistry())
-        service = AllocationService(
-            max_batch=capacity, cache_size=0, registry=registries[-1]
+        service = ServiceConfig(max_batch=capacity, cache_size=0).build(
+            registry=registries[-1]
         )
         return service.solve_many(requests)
 

@@ -3,8 +3,8 @@
 Two claims are measured, parity-gated before any time is trusted:
 
 * **wire parity** — the same pipelined stream is answered bit-for-bit
-  identically over the binary wire and by the in-process
-  :class:`~repro.service.ServiceClient` (only wall-clock latency, and
+  identically over the binary wire and by an in-process
+  :class:`~repro.service.AllocationService` (only wall-clock latency, and
   the dispatch-dependent ``batch_size``, may differ).  This is asserted
   *before* any throughput number is reported.
 * **throughput vs worker count** — one client pipelines a repeat-heavy
@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.net import NetClient, NetServer
-from repro.service import AllocationService, ServiceClient
+from repro.service import ServiceConfig
 
 EPSILON = 1e-4
 MAX_ITERATIONS = 5_000
@@ -174,9 +174,9 @@ def assert_wire_parity(stream: list) -> dict:
     the in-process leg parses the list form.  Equality proves the answer
     is independent of the transport *and* of how the caller held the
     problem data."""
-    local = ServiceClient(AllocationService(cache_size=0))
-    reference = [local.solve_payload(dict(p)) for p in stream]
-    with NetServer(port=0, workers=2, cache_size=0) as server:
+    local = ServiceConfig(cache_size=0).build()
+    reference = [local.solve_payloads([dict(p)])[0] for p in stream]
+    with NetServer(port=0, workers=2, service=ServiceConfig(cache_size=0)) as server:
         host, port = server.address
         with NetClient(host, port, timeout_s=300.0) as client:
             responses = client.solve_payloads([as_arrays(p) for p in stream])
@@ -211,7 +211,7 @@ def bench_throughput(worker_counts: list, stream: list, *, repeats: int) -> list
     for workers in worker_counts:
         with NetServer(
             port=0, workers=workers,
-            cache_size=CACHE_PER_WORKER, max_batch=128,
+            service=ServiceConfig(cache_size=CACHE_PER_WORKER, max_batch=128),
         ) as server:
             host, port = server.address
             with NetClient(host, port, timeout_s=300.0) as client:

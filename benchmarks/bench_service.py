@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.algorithm import solve
 from repro.core.model import FileAllocationProblem
 from repro.obs import MetricsRegistry
-from repro.service import AllocationService, SolveRequest
+from repro.service import AllocationService, ServiceConfig, SolveRequest
 from repro.workloads import perturbed_rates, zipf_rates
 
 EPSILON = 1e-4
@@ -90,10 +90,10 @@ def bench_burst(n: int, batch: int, *, repeats: int) -> dict:
     requests = burst_requests(n, batch)
 
     def run_batched():
-        return AllocationService(max_batch=batch, cache_size=0).solve_many(requests)
+        return ServiceConfig(max_batch=batch, cache_size=0).build().solve_many(requests)
 
     def run_singleton():
-        return AllocationService(max_batch=1, cache_size=0).solve_many(requests)
+        return ServiceConfig(max_batch=1, cache_size=0).build().solve_many(requests)
 
     batched_s, batched = _time(run_batched, repeats=repeats)
     single_s, single = _time(run_singleton, repeats=repeats)
@@ -174,8 +174,8 @@ def bench_stream(*, n: int, distinct: int, repeats_per: int, variants: int) -> d
     warm_s, warm = _time(lambda: run(warm_service), repeats=1)
 
     cold_registry = MetricsRegistry()
-    cold_service = AllocationService(
-        max_batch=window, cache_size=0, registry=cold_registry
+    cold_service = ServiceConfig(max_batch=window, cache_size=0).build(
+        registry=cold_registry
     )
     cold_s, cold = _time(lambda: run(cold_service), repeats=1)
 

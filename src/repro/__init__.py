@@ -45,7 +45,7 @@ from repro.parallel import (
     ContinuousBatcher,
     sweep_parallel,
 )
-from repro.service import AllocationService, ServiceClient, SolveRequest, SolveResponse
+from repro.service import AllocationService, ServiceConfig, SolveRequest, SolveResponse
 
 __version__ = "1.0.0"
 
@@ -66,7 +66,7 @@ __all__ = [
     "NetServer",
     "RunReport",
     "SecondOrderAllocator",
-    "ServiceClient",
+    "ServiceConfig",
     "SolveRequest",
     "SolveResponse",
     "Topology",

@@ -28,6 +28,8 @@ digest at the end.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
 from typing import List, Optional
 
@@ -36,9 +38,11 @@ import numpy as np
 from repro.core.algorithm import DecentralizedAllocator
 from repro.core.initials import paper_skewed_allocation, single_node_allocation
 from repro.core.model import FileAllocationProblem
+from repro.exceptions import ConfigurationError
 from repro.experiments import ascii_plot, figures
 from repro.network import builders
 from repro.obs import JsonLinesSink, MetricsRegistry, RunReport
+from repro.service import EVICTION_POLICIES, ServiceConfig
 from repro.utils.tables import format_table
 
 _TOPOLOGIES = {
@@ -183,45 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--input", metavar="PATH", default=None,
         help="read requests from PATH instead of stdin",
     )
-    serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="continuous batcher's slot capacity (1 disables micro-batching)",
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=256,
-        help="solution-cache capacity (0 disables caching)",
-    )
-    serve.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help="cache entry TTL (default: no expiry)",
-    )
-    serve.add_argument(
-        "--cache-eviction", choices=["lru", "cost"], default="lru",
-        help="cache eviction policy: recency, or value-weighted by "
-             "solver iterations saved",
-    )
-    serve.add_argument(
-        "--cache-budget", type=int, default=None, metavar="BYTES",
-        help="byte budget on retained cache entries (default: unbounded)",
-    )
-    serve.add_argument(
-        "--drift-threshold", type=float, default=None, metavar="DRIFT",
-        help="enable drift tracking: demote exact cache hits to warm "
-             "re-solves once the traffic estimate drifts this far "
-             "(relative L2) from the entry's epoch",
-    )
-    serve.add_argument(
-        "--drift-window", type=int, default=16,
-        help="EMA window of the drift tracker's per-structure estimate",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=1024,
-        help="admission bound on pending requests",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-request queue deadline in seconds",
-    )
+    _add_service_flags(serve)
     serve.add_argument(
         "--emit-metrics", metavar="PATH", default=None,
         help="stream service events to PATH (JSON lines)",
@@ -258,37 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--secret", default=None, metavar="SECRET",
         help="require the shared-secret HMAC handshake on every connection",
     )
-    net_serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="each worker's continuous-batcher slot capacity, and the most "
-        "queued requests a shard ships to its worker at once",
-    )
-    net_serve.add_argument(
-        "--cache-size", type=int, default=256,
-        help="per-worker solution-cache capacity (0 disables caching)",
-    )
-    net_serve.add_argument(
-        "--cache-ttl", type=float, default=None, metavar="SECONDS",
-        help="per-worker cache entry TTL (default: no expiry)",
-    )
-    net_serve.add_argument(
-        "--cache-eviction", choices=["lru", "cost"], default="lru",
-        help="per-worker cache eviction policy: recency, or "
-             "value-weighted by solver iterations saved",
-    )
-    net_serve.add_argument(
-        "--cache-budget", type=int, default=None, metavar="BYTES",
-        help="per-worker byte budget on retained cache entries",
-    )
-    net_serve.add_argument(
-        "--drift-threshold", type=float, default=None, metavar="DRIFT",
-        help="enable per-worker drift tracking: demote exact cache hits "
-             "to warm re-solves once the traffic estimate drifts this far",
-    )
-    net_serve.add_argument(
-        "--drift-window", type=int, default=16,
-        help="EMA window of the drift tracker's per-structure estimate",
-    )
+    _add_service_flags(net_serve)
     net_serve.add_argument(
         "--lookaside", action="store_true",
         help="enable the cross-shard lookaside donor tier (requests "
@@ -318,14 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--server-id", default=None, metavar="ID",
         help="mesh identity stamped on published donor records "
              "(default: the bound host:port)",
-    )
-    net_serve.add_argument(
-        "--queue-depth", type=int, default=1024,
-        help="per-worker admission bound on pending requests",
-    )
-    net_serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="default per-request queue deadline in seconds",
     )
     net_serve.add_argument(
         "--metrics-out", metavar="PATH", default=None,
@@ -375,6 +303,59 @@ def _build_parser() -> argparse.ArgumentParser:
         "--storage-cost", type=float, default=0.3, help="cost per copy stored"
     )
     return parser
+
+
+def _add_service_flags(parser: argparse.ArgumentParser) -> None:
+    """The nine :class:`~repro.service.ServiceConfig` settings as flags, for
+    ``serve`` and ``net-serve`` alike; each flag's dest and default are its field's."""
+    group = parser.add_argument_group(
+        "service settings", "(net-serve applies them to each worker's service)"
+    )
+    group.add_argument(
+        "--max-batch", type=int,
+        help="continuous batcher's slot capacity (1 disables micro-batching); "
+             "net-serve ships a worker at most this many queued requests at once",
+    )
+    group.add_argument(
+        "--cache-size", type=int, help="solution-cache capacity (0 disables caching)"
+    )
+    group.add_argument(
+        "--cache-ttl", dest="cache_ttl_s", type=float, metavar="SECONDS",
+        help="cache entry TTL (default: no expiry)",
+    )
+    group.add_argument(
+        "--cache-eviction", choices=EVICTION_POLICIES,
+        help="cache eviction policy: recency, or value-weighted by solver iterations saved",
+    )
+    group.add_argument(
+        "--cache-budget", dest="cache_max_bytes", type=int, metavar="BYTES",
+        help="byte budget on retained cache entries (default: unbounded)",
+    )
+    group.add_argument(
+        "--drift-threshold", type=float, metavar="DRIFT",
+        help="enable drift tracking: demote exact cache hits to warm re-solves once the "
+             "traffic estimate drifts this far (relative L2) from the entry's epoch",
+    )
+    group.add_argument(
+        "--drift-window", type=int,
+        help="EMA window of the drift tracker's per-structure estimate",
+    )
+    group.add_argument(
+        "--queue-depth", type=int,
+        help="admission bound on pending requests (net-serve: also each shard queue's)",
+    )
+    group.add_argument(
+        "--timeout", dest="default_timeout_s", type=float, metavar="SECONDS",
+        help="default per-request queue deadline in seconds",
+    )
+    parser.set_defaults(**dataclasses.asdict(ServiceConfig()))
+
+
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    """The :class:`~repro.service.ServiceConfig` the service flags spell."""
+    return ServiceConfig(
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(ServiceConfig)}
+    )
 
 
 def _initial_allocation(start: str, n: int) -> np.ndarray:
@@ -581,70 +562,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Requests stream in (stdin or ``--input``), responses stream out on
     stdout in request order — solves, structured rejections, and
-    per-line parse errors alike, one JSON object per line.  Requests are
-    micro-batched ``--max-batch`` at a time; a run summary goes to
-    stderr so stdout stays machine-readable.
+    per-line parse errors alike, one JSON object per line.  Lines are
+    answered ``--max-batch`` at a time; a run summary goes to stderr so
+    stdout stays machine-readable.  A bad service setting is refused
+    before any input is read (exit 2).
     """
     import json
 
-    from repro.service import (
-        AdmissionController,
-        AllocationService,
-        iter_request_payloads,
-        safe_parse,
-    )
+    from repro.service import iter_request_payloads
 
     registry = MetricsRegistry()
+    config = _service_config(args)
+    try:
+        service = config.build(registry=registry)
+    except ConfigurationError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     sink = None
     if args.emit_metrics is not None:
         sink = JsonLinesSink(args.emit_metrics)
         registry.add_sink(sink)
-    service = AllocationService(
-        max_batch=args.max_batch,
-        cache_size=args.cache_size,
-        cache_ttl_s=args.cache_ttl,
-        cache_eviction=args.cache_eviction,
-        cache_max_bytes=args.cache_budget,
-        drift_threshold=args.drift_threshold,
-        drift_window=args.drift_window,
-        admission=AdmissionController(
-            max_queue_depth=args.queue_depth, default_timeout_s=args.timeout
-        ),
-        registry=registry,
-    )
     stream = open(args.input) if args.input is not None else sys.stdin
-
-    slots: List = []  # ("error", dict) | ("ticket", PendingSolve), stream order
-    printed = 0
-
-    def flush() -> None:
-        nonlocal printed
-        while printed < len(slots):
-            kind, payload = slots[printed]
-            if kind == "ticket":
-                if not payload.done():
-                    break
-                print(json.dumps(payload.response.as_dict()), flush=True)
-            else:
-                print(json.dumps(payload), flush=True)
-            printed += 1
-
     try:
-        queued = 0
-        for payload in iter_request_payloads(stream):
-            request, error = safe_parse(payload)
-            if error is not None:
-                slots.append(("error", error))
-                flush()
-                continue
-            slots.append(("ticket", service.submit(request)))
-            queued += 1
-            if queued >= args.max_batch:
-                service.pump()
-                queued = 0
-                flush()
-        service.pump()
-        flush()
+        payloads = iter_request_payloads(stream)
+        while chunk := list(itertools.islice(payloads, config.max_batch)):
+            for answer in service.solve_payloads(chunk):
+                print(json.dumps(answer), flush=True)
     finally:
         if args.input is not None:
             stream.close()
@@ -688,7 +631,6 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.exceptions import ConfigurationError
     from repro.net import NetServer
 
     try:
@@ -697,21 +639,13 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
             args.port,
             workers=args.workers,
             secret=args.secret,
-            max_batch=args.max_batch,
-            cache_size=args.cache_size,
-            cache_ttl_s=args.cache_ttl,
-            cache_eviction=args.cache_eviction,
-            cache_max_bytes=args.cache_budget,
-            drift_threshold=args.drift_threshold,
-            drift_window=args.drift_window,
+            service=_service_config(args),
             lookaside=args.lookaside,
             lookaside_ttl_s=args.lookaside_ttl,
             peers=args.peers,
             gossip_interval_s=args.gossip_interval,
             gossip_budget=args.gossip_budget,
             server_id=args.server_id,
-            queue_depth=args.queue_depth,
-            default_timeout_s=args.timeout,
         )
     except ConfigurationError as exc:
         print(f"net-serve: {exc}", file=sys.stderr)

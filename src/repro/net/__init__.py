@@ -23,7 +23,7 @@ processes without giving up what makes the service fast:
   connection, responses matched by frame id), per-request deadlines,
   one bounded retry budget, optional shared-secret HMAC authentication;
   typed and dict-shaped surfaces mirroring
-  :class:`~repro.service.ServiceClient`;
+  :class:`~repro.service.AllocationService`'s;
 * :class:`GossipAgent` (:mod:`repro.net.gossip`) — with ``--peers``,
   servers form a static mesh and epidemically replicate their
   :class:`LookasideTier` donor records: rumor pushes spread fresh
@@ -89,7 +89,7 @@ from repro.net.lookaside import (
 from repro.net.peers import PeerState, parse_peers
 from repro.net.router import routing_key, shard_for, shard_of_key
 from repro.net.server import REJECT_OVERLOADED, REJECT_SHUTTING_DOWN, NetServer
-from repro.net.worker import WorkerConfig, WorkerCrashed, WorkerHandle, worker_main
+from repro.net.worker import WorkerCrashed, WorkerHandle, worker_main
 
 __all__ = [
     "BINARY_MAGIC",
@@ -110,7 +110,6 @@ __all__ = [
     "PeerState",
     "REJECT_OVERLOADED",
     "REJECT_SHUTTING_DOWN",
-    "WorkerConfig",
     "WorkerCrashed",
     "WorkerHandle",
     "decode_binary_frames",

@@ -26,10 +26,12 @@
   nonce → ``HMAC-SHA256(secret, nonce)``) before carrying requests;
   bad credentials raise :class:`NetAuthError`.
 
-Two surfaces, mirroring :class:`~repro.service.ServiceClient`: typed
-(:meth:`solve` with :class:`~repro.service.SolveRequest` in and
+Two surfaces, mirroring an in-process
+:class:`~repro.service.AllocationService`: typed (:meth:`solve` with
+:class:`~repro.service.SolveRequest` in and
 :class:`~repro.service.SolveResponse` out) and dict-shaped
-(:meth:`solve_payload`, the exact wire format).  Plus the control verbs:
+(:meth:`solve_payloads`, the exact wire format, answered as the
+service's own ``solve_payloads`` would).  Plus the control verbs:
 :meth:`stats` and :meth:`ping`.
 """
 

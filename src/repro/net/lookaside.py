@@ -70,7 +70,11 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.service.fingerprint import parameter_vector, problem_fingerprint
+from repro.service.fingerprint import (
+    parameter_vector,
+    problem_fingerprint,
+    relative_distances,
+)
 
 __all__ = ["LookasideTier", "donor_record", "params_from_payload", "wire_record"]
 
@@ -517,9 +521,7 @@ class LookasideTier:
             records, matrix = view
             if matrix.shape[1] != params.shape[0]:
                 return None
-            scale = np.maximum(np.maximum(np.abs(matrix), np.abs(params)), 1e-300)
-            rel = (matrix - params) / scale
-            distances = np.sqrt(np.sum(rel * rel, axis=1))
+            distances = relative_distances(matrix, params)
             best = int(np.argmin(distances))
             if float(distances[best]) > self.max_distance:
                 return None

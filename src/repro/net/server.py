@@ -72,12 +72,8 @@ from repro.net.gossip import GOSSIP_OPS, GossipAgent
 from repro.net.lookaside import LookasideTier
 from repro.net.peers import parse_peers
 from repro.net.router import shard_for
-from repro.net.worker import (
-    ERROR_WORKER_RESTARTED,
-    WorkerConfig,
-    WorkerCrashed,
-    WorkerHandle,
-)
+from repro.net.worker import ERROR_WORKER_RESTARTED, WorkerCrashed, WorkerHandle
+from repro.service import ServiceConfig
 
 __all__ = [
     "NetServer",
@@ -179,20 +175,12 @@ class NetServer:
         the HMAC challenge/response handshake (``hello`` → ``nonce`` →
         ``auth`` carrying ``HMAC-SHA256(secret, nonce)``) before any
         other frame is served.
-    max_batch, cache_size, cache_ttl_s, queue_depth, default_timeout_s:
-        Per-worker service configuration (see
-        :class:`~repro.net.worker.WorkerConfig`).  ``queue_depth`` also
-        bounds each *shard* queue: requests beyond it are answered with
-        structured ``overloaded`` rejections instead of queuing without
-        bound behind a slow worker.
-    cache_eviction, cache_max_bytes:
-        Per-worker cache policy: ``"lru"`` (default) or ``"cost"``
-        (value-weighted eviction), plus an optional byte budget (see
-        :class:`~repro.service.SolutionCache`).
-    drift_threshold, drift_window:
-        When ``drift_threshold`` is set, each worker runs a
-        :class:`~repro.service.DriftTracker`: exact cache hits stored
-        under a drifted traffic estimate are demoted to warm re-solves.
+    service:
+        The :class:`~repro.service.ServiceConfig` every worker builds its
+        service from, built once here too so a bad setting raises before
+        any worker starts.  Its ``queue_depth`` also bounds each *shard*
+        queue (beyond it, requests get ``overloaded`` rejections), and
+        its ``max_batch`` caps the requests a shard ships at once.
     lookaside:
         Enable the cross-shard :class:`~repro.net.lookaside.LookasideTier`:
         converged solves publish compact donor records back through the
@@ -239,13 +227,7 @@ class NetServer:
         *,
         workers: int = 1,
         secret: Optional[str] = None,
-        max_batch: int = 32,
-        cache_size: int = 256,
-        cache_ttl_s: Optional[float] = None,
-        cache_eviction: str = "lru",
-        cache_max_bytes: Optional[int] = None,
-        drift_threshold: Optional[float] = None,
-        drift_window: int = 16,
+        service: Optional[ServiceConfig] = None,
         lookaside: bool = False,
         lookaside_capacity: int = 512,
         lookaside_ttl_s: Optional[float] = None,
@@ -253,8 +235,6 @@ class NetServer:
         gossip_interval_s: float = 1.0,
         gossip_budget: int = 262144,
         server_id: Optional[str] = None,
-        queue_depth: int = 1024,
-        default_timeout_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         context=None,
     ):
@@ -262,19 +242,8 @@ class NetServer:
         self.port = int(port)
         self.num_workers = max(1, int(workers))
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.queue_depth = max(1, int(queue_depth))
-        self.worker_config = WorkerConfig(
-            max_batch=max_batch,
-            cache_size=cache_size,
-            cache_ttl_s=cache_ttl_s,
-            queue_depth=queue_depth,
-            default_timeout_s=default_timeout_s,
-            cache_eviction=cache_eviction,
-            cache_max_bytes=cache_max_bytes,
-            drift_threshold=drift_threshold,
-            drift_window=drift_window,
-            lookaside=lookaside,
-        )
+        self.service_config = service if service is not None else ServiceConfig()
+        self.service_config.build()  # a bad setting fails here, not in every worker
         self.lookaside = (
             LookasideTier(
                 lookaside_capacity,
@@ -333,11 +302,14 @@ class NetServer:
                 return self
             self._started = True
         self._workers = [
-            WorkerHandle(i, self.worker_config, context=self._context)
+            WorkerHandle(
+                i, self.service_config,
+                lookaside=self.lookaside is not None, context=self._context,
+            )
             for i in range(self.num_workers)
         ]
         for shard in range(self.num_workers):
-            self._queues.append(queue.Queue(maxsize=self.queue_depth))
+            self._queues.append(queue.Queue(maxsize=self.service_config.queue_depth))
             thread = threading.Thread(
                 target=self._shard_loop, args=(shard,),
                 name=f"repro-net-shard-{shard}", daemon=True,
@@ -872,7 +844,7 @@ class NetServer:
                 "status": "rejected",
                 "reason": REJECT_OVERLOADED,
                 "detail": f"shard {shard} queue is full "
-                          f"({self.queue_depth} requests already waiting)",
+                          f"({self.service_config.queue_depth} requests already waiting)",
             })
             return
         self.registry.gauge_set(self._depth_gauges[shard], float(q.qsize()))
@@ -968,7 +940,7 @@ class NetServer:
             # worker's max_batch) ships as one group so the worker's
             # micro-batcher can fuse compatible requests.
             stop_seen = False
-            while len(batch) < self.worker_config.max_batch:
+            while len(batch) < self.service_config.max_batch:
                 try:
                     extra = q.get_nowait()
                 except queue.Empty:

@@ -2,14 +2,16 @@
 
 Each worker is a child process running :func:`worker_main`: it builds its
 own :class:`~repro.service.AllocationService` (with its own
-:class:`~repro.service.SolutionCache` and metrics registry) and answers
-messages on a duplex pipe from the server:
+:class:`~repro.service.SolutionCache` and metrics registry) from the
+server's :class:`~repro.service.ServiceConfig`, and answers messages on a
+duplex pipe from the server:
 
 * ``("solve", [payload, ...])`` → ``("results", [response_dict, ...])``
-  — parse each wire-format payload, solve the parseable ones **as one
-  group** (so the worker's micro-batcher sees them together), and return
-  responses in input order with per-payload parse errors slotted in
-  place.  With the lookaside tier enabled the solve message grows a
+  — :meth:`~repro.service.AllocationService.solve_payloads`: parse each
+  wire-format payload, solve the parseable ones **as one group** (so the
+  worker's micro-batcher sees them together), and return responses in
+  input order with per-payload parse errors slotted in place.  With the
+  lookaside tier enabled the solve message grows a
   third element — per-payload donor hints from the server's
   :class:`~repro.net.lookaside.LookasideTier` (``None`` where the tier
   had nothing) — and the reply a third of its own: the donor records of
@@ -34,12 +36,13 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import threading
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.obs import MetricsRegistry
+from repro.service import ServiceConfig
 
-__all__ = ["WorkerConfig", "WorkerCrashed", "WorkerHandle", "worker_main"]
+__all__ = ["WorkerCrashed", "WorkerHandle", "worker_main"]
 
 #: Error code carried by responses for requests lost with a dead worker.
 ERROR_WORKER_RESTARTED = "worker_restarted"
@@ -48,28 +51,6 @@ ERROR_WORKER_RESTARTED = "worker_restarted"
 class WorkerCrashed(ReproError):
     """A worker process died with requests in flight (it has already been
     respawned by the time this is raised)."""
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Per-worker service configuration (picklable; crosses the fork)."""
-
-    max_batch: int = 32
-    cache_size: int = 256
-    cache_ttl_s: Optional[float] = None
-    queue_depth: int = 1024
-    default_timeout_s: Optional[float] = None
-    #: Cache eviction policy: ``"lru"`` or ``"cost"`` (value-weighted).
-    cache_eviction: str = "lru"
-    #: Optional byte budget on the worker's cache.
-    cache_max_bytes: Optional[int] = None
-    #: Drift threshold for estimate-epoch invalidation; ``None`` disables
-    #: drift tracking entirely.
-    drift_threshold: Optional[float] = None
-    #: EMA window of the drift tracker's per-structure estimate.
-    drift_window: int = 16
-    #: Accept cross-shard donor hints (and publish converged solves back).
-    lookaside: bool = False
 
 
 class _PipeLookaside:
@@ -103,98 +84,31 @@ class _PipeLookaside:
         return out
 
 
-def _build_service(config: WorkerConfig):
-    from repro.obs import MetricsRegistry
-    from repro.service import (
-        AdmissionController,
-        AllocationService,
-        DriftTracker,
-        SolutionCache,
-    )
-
-    registry = MetricsRegistry()
-    drift = (
-        DriftTracker(
-            threshold=config.drift_threshold,
-            window=config.drift_window,
-            registry=registry,
-        )
-        if config.drift_threshold is not None
-        else None
-    )
-    service = AllocationService(
-        max_batch=config.max_batch,
-        cache=SolutionCache(
-            config.cache_size,
-            ttl_s=config.cache_ttl_s,
-            eviction=config.cache_eviction,
-            max_bytes=config.cache_max_bytes,
-            drift=drift,
-            registry=registry,
-        ),
-        lookaside=_PipeLookaside() if config.lookaside else None,
-        admission=AdmissionController(
-            max_queue_depth=config.queue_depth,
-            default_timeout_s=config.default_timeout_s,
-        ),
-        registry=registry,
-    )
-    return service, registry
-
-
 def solve_payloads(
     service, payloads: List[Dict], hints: Optional[List[object]] = None
 ) -> List[Dict]:
-    """Solve one group of wire-format payloads; responses in input order.
-
-    Parse failures become in-band error dicts; an unexpected dispatch
-    exception becomes an error dict on every request it left unresolved
-    (those the service already answered keep their answers) — the worker
-    never dies because one payload was poisonous.
-
-    ``hints`` (aligned with ``payloads``) carries the server's lookaside
-    donors; they are loaded into the service's pipe-lookaside hook so a
-    local cache miss can warm-start from another shard's solution.
-    """
-    from repro.service.codec import safe_parse
-
-    slots: List[Optional[Dict]] = [None] * len(payloads)
-    tickets: List[Tuple[int, object]] = []
-    hint_map: Dict[str, object] = {}
-    for i, payload in enumerate(payloads):
-        request, error = safe_parse(payload)
-        if error is not None:
-            slots[i] = error
-            continue
-        if hints is not None and i < len(hints) and hints[i] is not None:
-            hint_map[request.request_id] = hints[i]
-        tickets.append((i, service.submit(request)))
-    if isinstance(getattr(service, "lookaside", None), _PipeLookaside):
-        service.lookaside.load_hints(hint_map)
-    failure = "dispatch failed: the service left the request unresolved"
-    try:
-        if any(not ticket.done() for _, ticket in tickets):
-            service.pump()
-    except Exception as exc:  # noqa: BLE001 - the worker must survive anything
-        failure = f"dispatch failed: {type(exc).__name__}: {exc}"
-    for i, ticket in tickets:
-        if ticket.done():
-            slots[i] = ticket.response.as_dict()
-        else:
-            slots[i] = {
-                "id": ticket.request.request_id,
-                "status": "error",
-                "detail": failure,
-            }
-    return slots  # type: ignore[return-value]
+    """:meth:`~repro.service.AllocationService.solve_payloads`, after
+    loading the server's lookaside donor ``hints`` (aligned with
+    ``payloads``) for a local cache miss to warm-start from."""
+    if isinstance(service.lookaside, _PipeLookaside):
+        service.lookaside.load_hints({
+            str(payload.get("id", "")): hint
+            for payload, hint in zip(payloads, hints or ())
+            if hint is not None and isinstance(payload, dict)
+        })
+    return service.solve_payloads(payloads)
 
 
-def worker_main(conn, config: WorkerConfig) -> None:
-    """Child-process entry point: serve pipe messages until shutdown/EOF."""
+def worker_main(conn, config: Tuple[ServiceConfig, bool]) -> None:
+    """Child-process entry point: serve pipe messages until shutdown/EOF.
+
+    ``config`` is the service's settings and, beside them, the lookaside opt-in."""
     # The server's terminal delivers SIGINT to the whole foreground
     # process group; drain is the parent's job, so workers ignore it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    service, registry = _build_service(config)
+    settings, lookaside = config
+    registry = MetricsRegistry()
+    service = settings.build(registry=registry, lookaside=_PipeLookaside() if lookaside else None)
     while True:
         try:
             message = conn.recv()
@@ -209,7 +123,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
             elif kind == "solve":
                 hints = message[2] if len(message) > 2 else None
                 results = solve_payloads(service, message[1], hints)
-                if isinstance(service.lookaside, _PipeLookaside):
+                if lookaside:
                     reply = ("results", results, service.lookaside.drain())
                 else:
                     reply = ("results", results)
@@ -227,12 +141,16 @@ class WorkerHandle:
     All pipe traffic goes through :meth:`roundtrip`, which serializes
     access (the shard's dispatch thread and a ``stats`` call may both
     use the pipe), respawns a dead worker, and raises
-    :class:`WorkerCrashed` when requests were lost with it.
+    :class:`WorkerCrashed` when requests were lost with it.  Each worker
+    builds its service from ``config``; ``lookaside`` opts it into donor hints.
     """
 
-    def __init__(self, index: int, config: WorkerConfig, *, context=None):
+    def __init__(
+        self, index: int, config: ServiceConfig, *, lookaside: bool = False, context=None
+    ):
         self.index = index
         self.config = config
+        self.lookaside = lookaside
         self._ctx = context if context is not None else multiprocessing.get_context()
         self._lock = threading.Lock()
         self.restarts = 0
@@ -244,7 +162,7 @@ class WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=worker_main,
-            args=(child_conn, self.config),
+            args=(child_conn, (self.config, self.lookaside)),
             name=f"repro-net-worker-{self.index}",
             daemon=True,
         )

@@ -27,9 +27,10 @@ Quick start::
     response.allocation        # ~ [0.25, 0.25, 0.25, 0.25]
     response.cache             # "miss" the first time, "hit" on a repeat
 
-``repro-fap serve`` speaks the same machinery over line-delimited JSON;
-docs/COOKBOOK.md ("Serving allocations") and docs/PERFORMANCE.md (bench
-numbers) cover operation.
+``repro-fap serve`` builds the same service from a :class:`ServiceConfig`
+and feeds it line-delimited JSON through
+:meth:`AllocationService.solve_payloads`; docs/COOKBOOK.md ("Serving
+allocations") and docs/PERFORMANCE.md (bench numbers) cover operation.
 """
 
 from repro.service.admission import AdmissionController
@@ -45,7 +46,6 @@ from repro.service.codec import (
     parse_request,
     request_to_payload,
     response_from_dict,
-    response_to_dict,
     safe_parse,
 )
 from repro.service.drift import DriftState, DriftTracker
@@ -58,7 +58,7 @@ from repro.service.fingerprint import (
     structural_key,
     structural_key_from_matrix,
 )
-from repro.service.service import AllocationService, PendingSolve, ServiceClient
+from repro.service.service import AllocationService, PendingSolve, ServiceConfig
 from repro.service.types import (
     REJECT_DEADLINE,
     REJECT_LOAD_SHED,
@@ -89,7 +89,7 @@ __all__ = [
     "REJECT_QUEUE_FULL",
     "REJECT_SHUTDOWN",
     "REJECT_SOLVER_ERROR",
-    "ServiceClient",
+    "ServiceConfig",
     "SolutionCache",
     "SolveRequest",
     "SolveResponse",
@@ -103,7 +103,6 @@ __all__ = [
     "request_fingerprint",
     "request_to_payload",
     "response_from_dict",
-    "response_to_dict",
     "safe_parse",
     "structural_key",
     "structural_key_from_matrix",

@@ -63,6 +63,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.service.fingerprint import (
     parameter_vector,
+    relative_distances,
     request_fingerprint,
     structural_key,
 )
@@ -385,9 +386,7 @@ class SolutionCache:
         query = parameter_vector(request.problem)
         if query is None or matrix.shape[1] != query.shape[0]:
             return None
-        scale = np.maximum(np.maximum(np.abs(matrix), np.abs(query)), 1e-300)
-        rel = (matrix - query) / scale
-        distances = np.sqrt(np.sum(rel * rel, axis=1))
+        distances = relative_distances(matrix, query)
         best = float(distances.min())
         if best > self.max_warm_distance:
             return None

@@ -44,7 +44,6 @@ __all__ = [
     "parse_request",
     "request_to_payload",
     "response_from_dict",
-    "response_to_dict",
     "iter_request_payloads",
     "safe_parse",
 ]
@@ -169,11 +168,6 @@ def request_to_payload(request: SolveRequest) -> Dict:
     return payload
 
 
-def response_to_dict(response: SolveResponse) -> Dict:
-    """The wire-format view of a response (alias of ``as_dict``)."""
-    return response.as_dict()
-
-
 def response_from_dict(payload: Dict) -> SolveResponse:
     """One wire-format response dict back into a :class:`SolveResponse`.
 
@@ -228,14 +222,16 @@ def iter_request_payloads(stream: IO[str]) -> Iterator[Dict]:
 
 
 def safe_parse(payload: Dict):
-    """``parse_request`` that returns ``(request, None)`` or ``(None, error_dict)``."""
-    if payload.get("status") == "error":  # pre-marked by iter_request_payloads
+    """``parse_request`` that returns ``(request, None)`` or ``(None, error_dict)``
+    for any JSON value; one that is not an object gets ``id`` ``""``."""
+    is_object = isinstance(payload, dict)
+    if is_object and payload.get("status") == "error":  # pre-marked by iter_request_payloads
         return None, payload
     try:
         return parse_request(payload), None
     except (ReproError, TypeError, ValueError, OverflowError) as exc:
         return None, {
-            "id": str(payload.get("id", "")),
+            "id": str(payload.get("id", "")) if is_object else "",
             "status": "error",
             "detail": f"{type(exc).__name__}: {exc}",
         }

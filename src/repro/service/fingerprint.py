@@ -41,6 +41,7 @@ __all__ = [
     "parameter_distance",
     "parameter_vector",
     "relative_distance",
+    "relative_distances",
 ]
 
 
@@ -134,21 +135,23 @@ def parameter_vector(problem: FileAllocationProblem) -> Optional[np.ndarray]:
     ).astype(float, copy=False)
 
 
-def relative_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative L2 distance between two flat parameter vectors.
+def relative_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Relative L2 distance of each row of ``rows`` from ``query``, each
+    component scaled by ``max(|row|, |query|)`` ("fractions of the
+    operating point"); a row's distance is its 1-D answer, bit for bit."""
+    scale = np.maximum(np.maximum(np.abs(rows), np.abs(query)), 1e-300)
+    rel = (rows - query) / scale
+    return np.sqrt(np.sum(rel * rel, axis=-1))
 
-    The scalar form of the bucket-wide computation in
-    :meth:`~repro.service.cache.SolutionCache._nearest`: each component
-    is scaled by ``max(|a|, |b|)`` so the result reads as "fractions of
-    the operating point".  ``inf`` on shape mismatch.
-    """
+
+def relative_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative L2 distance between two flat parameter vectors
+    (:func:`relative_distances` of one row); ``inf`` on shape mismatch."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return float("inf")
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-    rel = (a - b) / scale
-    return float(np.sqrt(np.sum(rel * rel)))
+    return float(relative_distances(a, b))
 
 
 def parameter_distance(

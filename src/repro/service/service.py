@@ -17,7 +17,10 @@ everything the earlier layers provide:
 * every response records how it was produced (cache disposition, batch
   size, queue-to-response latency) and the registry accumulates the
   service's operational story: queue depth, batch occupancy,
-  hit/warm/miss counts, p50/p95/p99 latency.
+  hit/warm/miss counts, a latency histogram.
+
+:meth:`ServiceConfig.build` composes a service from its nine settings;
+JSON payloads enter through one door, :meth:`~AllocationService.solve_payloads`.
 
 Because every dispatch path is bit-for-bit equivalent to the serial
 reference engine, *none* of the throughput machinery is observable in the
@@ -30,11 +33,13 @@ reached.)
 The service runs in two modes:
 
 * **synchronous** — call :meth:`pump` yourself (or use :meth:`solve` /
-  :meth:`solve_many`, which pump for you).  Deterministic; what the tests
-  and benchmarks use.
+  :meth:`solve_many` / :meth:`solve_payloads`, which pump for you).
+  Deterministic; what the tests and benchmarks use.
 * **threaded** — :meth:`start` spawns a dispatcher thread that pumps as
   soon as work is pending; requests that arrive while a group solves
-  join it mid-flight.  Callers block on :meth:`PendingSolve.wait`.
+  join it mid-flight.  Callers block on :meth:`PendingSolve.wait`.  A
+  dispatch that raises answers every request it held with a
+  ``solver_error`` rejection, and the thread keeps serving.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +64,7 @@ from repro.service.batcher import (
     continuous_batch_key,
 )
 from repro.service.cache import SolutionCache
+from repro.service.codec import safe_parse
 from repro.service.drift import DriftTracker
 from repro.service.types import (
     REJECT_SHUTDOWN,
@@ -67,7 +73,7 @@ from repro.service.types import (
     SolveResponse,
 )
 
-__all__ = ["AllocationService", "PendingSolve", "ServiceClient"]
+__all__ = ["AllocationService", "PendingSolve", "ServiceConfig"]
 
 
 class PendingSolve:
@@ -144,32 +150,9 @@ class AllocationService:
         and budget ride along.  1 disables micro-batching (every request
         runs the singleton path).
     cache:
-        A :class:`~repro.service.cache.SolutionCache` to use, or ``None``
-        to build one from the ``cache_*`` / ``max_warm_distance`` /
-        ``drift`` knobs below (all of which are ignored when an explicit
-        cache is passed — configure it directly instead).
-    cache_size:
-        Capacity of the built-in cache; 0 disables caching.
-    max_warm_distance:
-        Donor-eligibility radius for warm starts (see
-        :class:`~repro.service.cache.SolutionCache`).
-    cache_ttl_s:
-        TTL of built-in cache entries; ``None`` (default) disables
-        expiry.
-    cache_eviction:
-        Eviction policy of the built-in cache: ``"lru"`` (default) or
-        ``"cost"`` (value-weighted by solver iterations saved).
-    cache_max_bytes:
-        Optional byte budget of the built-in cache.
-    drift:
-        Optional :class:`~repro.service.drift.DriftTracker` threaded into
-        the built-in cache: every request feeds the per-structure traffic
-        estimate, and exact hits stored under a drifted epoch are demoted
-        to warm-start re-solves.  Built automatically when
-        ``drift_threshold`` is set instead.
-    drift_threshold / drift_window:
-        Shorthand for ``drift=DriftTracker(threshold=..., window=...)``
-        when no tracker (and no explicit cache) is passed.
+        The :class:`~repro.service.cache.SolutionCache` to answer repeats
+        from, or ``None`` for a default one that reports to ``registry``.
+        :meth:`ServiceConfig.build` builds one from settings.
     lookaside:
         Optional cross-shard donor tier — any object with
         ``get(request) -> Optional[np.ndarray]`` and
@@ -194,14 +177,6 @@ class AllocationService:
         *,
         max_batch: int = 32,
         cache: Optional[SolutionCache] = None,
-        cache_size: int = 256,
-        max_warm_distance: float = 1.0,
-        cache_ttl_s: Optional[float] = None,
-        cache_eviction: str = "lru",
-        cache_max_bytes: Optional[int] = None,
-        drift: Optional[DriftTracker] = None,
-        drift_threshold: Optional[float] = None,
-        drift_window: int = 16,
         lookaside=None,
         admission: Optional[AdmissionController] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -211,24 +186,14 @@ class AllocationService:
         self.clock = clock
         self.batcher = MicroBatcher(max_batch=max_batch)
         self.admission = admission if admission is not None else AdmissionController()
-        if cache is None:
-            if drift is None and drift_threshold is not None:
-                drift = DriftTracker(
-                    threshold=drift_threshold, window=drift_window, registry=registry
-                )
-            cache = SolutionCache(
-                cache_size,
-                max_warm_distance=max_warm_distance,
-                ttl_s=cache_ttl_s,
-                eviction=cache_eviction,
-                max_bytes=cache_max_bytes,
-                drift=drift,
-                registry=registry,
-                clock=clock,
-            )
-        self.cache = cache
+        self.cache = (
+            cache if cache is not None else SolutionCache(registry=registry, clock=clock)
+        )
         self.lookaside = lookaside
         self._pending: List[PendingSolve] = []
+        #: Every ticket the running pump took off the queue, mid-flight
+        #: claims included: the ones a failed dispatch leaves unanswered.
+        self._held: List[PendingSolve] = []
         self._cond = threading.Condition()
         self._latencies: deque = deque(maxlen=4096)
         self._thread: Optional[threading.Thread] = None
@@ -270,6 +235,39 @@ class AllocationService:
             self.pump()
         return [t.wait(timeout) for t in tickets]
 
+    def solve_payloads(self, payloads: Sequence[object]) -> List[Dict]:
+        """One answer dict per wire-format payload, in order: the one JSON
+        path of ``repro-fap serve`` and the ``net-serve`` workers.
+
+        A payload that does not parse is answered in place with an error
+        dict; the rest are submitted as one group and pumped (synchronous
+        mode).  A dispatch that raises becomes an error dict on each
+        request it left unanswered."""
+        slots: List[Optional[Dict]] = [None] * len(payloads)
+        tickets: List[Tuple[int, PendingSolve]] = []
+        for i, payload in enumerate(payloads):
+            request, error = safe_parse(payload)
+            if error is not None:
+                slots[i] = error
+                continue
+            tickets.append((i, self.submit(request)))
+        failure = "dispatch failed: the service left the request unresolved"
+        try:
+            if any(not ticket.done() for _, ticket in tickets):
+                self.pump()
+        except Exception as exc:  # noqa: BLE001 - the caller must survive anything
+            failure = f"dispatch failed: {type(exc).__name__}: {exc}"
+        for i, ticket in tickets:
+            if ticket.done():
+                slots[i] = ticket.response.as_dict()
+            else:
+                slots[i] = {
+                    "id": ticket.request.request_id,
+                    "status": "error",
+                    "detail": failure,
+                }
+        return slots  # type: ignore[return-value]
+
     # -- the dispatch loop -----------------------------------------------------
 
     def pump(self) -> int:
@@ -285,10 +283,11 @@ class AllocationService:
             self._gauge_depth_locked()
         if not items:
             return 0
+        self._held = list(items)
         to_solve, resolved = self._preflight(items)
         for batch in self.batcher.plan(to_solve):
             resolved += self._dispatch(batch)
-        self._publish_latency()
+        self._held = []
         return resolved
 
     def _preflight(self, items: Sequence[PendingSolve]) -> tuple:
@@ -452,6 +451,7 @@ class AllocationService:
             self._gauge_depth_locked()
         if not take:
             return [], 0
+        self._held.extend(take)
         return self._preflight(take)
 
     def _finish_row(self, item: PendingSolve, row, *, batch_size: int) -> None:
@@ -530,12 +530,6 @@ class AllocationService:
         p50, p95, p99 = np.percentile(arr, [50, 95, 99])
         return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
 
-    def _publish_latency(self) -> None:
-        if self.registry is None or not self._latencies:
-            return
-        for name, value in self.latency_percentiles().items():
-            self.registry.gauge_set(f"service.latency_{name}", value)
-
     def stats(self) -> Dict[str, object]:
         """One-call operational snapshot (queue, cache, latency)."""
         with self._cond:
@@ -598,7 +592,17 @@ class AllocationService:
                     self._cond.wait()
                 if self._stopping:
                     return
-            self.pump()
+            try:
+                self.pump()
+            except Exception as exc:  # noqa: BLE001 - the dispatcher outlives any request
+                detail = f"dispatch failed: {type(exc).__name__}: {exc}"
+                for item in self._held:
+                    if not item.done():
+                        self._reject(
+                            item, REJECT_SOLVER_ERROR, detail,
+                            latency_s=self.clock() - item.submitted_at,
+                        )
+                self._held = []
 
     def __enter__(self) -> "AllocationService":
         return self
@@ -616,32 +620,43 @@ class AllocationService:
         )
 
 
-class ServiceClient:
-    """Thin in-process client over an :class:`AllocationService`.
+@dataclass(frozen=True)
+class ServiceConfig:
+    """The nine settings of an :class:`AllocationService`, declared once.
 
-    Two surfaces: typed (:meth:`solve` with :class:`SolveRequest` /
-    :class:`SolveResponse`) and JSON-shaped (:meth:`solve_payload`, the
-    exact dict protocol ``repro-fap serve`` speaks — useful for tests
-    that exercise the wire format without a subprocess).
+    ``repro-fap serve`` and every ``net-serve`` worker build their service
+    from one (it is picklable, so it crosses the fork) with :meth:`build`,
+    the one place settings become components.
     """
 
-    def __init__(self, service: AllocationService):
-        self.service = service
+    max_batch: int = 32  #: continuous-dispatch slot capacity (1: no grouping)
+    cache_size: int = 256  #: solution-cache capacity (0: no caching)
+    cache_ttl_s: Optional[float] = None  #: cache entry lifetime (``None``: no expiry)
+    cache_eviction: str = "lru"  #: ``"lru"``, or ``"cost"`` (value-weighted)
+    cache_max_bytes: Optional[int] = None  #: byte budget of the cache (``None``: none)
+    drift_threshold: Optional[float] = None  #: drift that demotes a hit (``None``: off)
+    drift_window: int = 16  #: EMA window of the drift tracker's estimate
+    queue_depth: int = 1024  #: admission bound on pending requests
+    default_timeout_s: Optional[float] = None  #: deadline of a request setting none
 
-    def solve(self, request: SolveRequest, *, timeout: Optional[float] = None) -> SolveResponse:
-        return self.service.solve(request, timeout=timeout)
-
-    def solve_many(
-        self, requests: Sequence[SolveRequest], *, timeout: Optional[float] = None
-    ) -> List[SolveResponse]:
-        return self.service.solve_many(requests, timeout=timeout)
-
-    def solve_payload(self, payload: dict, *, timeout: Optional[float] = None) -> dict:
-        """One JSON-shaped request dict in, one response dict out."""
-        from repro.service.codec import parse_request
-
-        request = parse_request(payload)
-        return self.service.solve(request, timeout=timeout).as_dict()
-
-    def __repr__(self) -> str:
-        return f"ServiceClient({self.service!r})"
+    def build(
+        self, *, registry: Optional[MetricsRegistry] = None, lookaside=None
+    ) -> AllocationService:
+        """An :class:`AllocationService` with these settings; its cache and
+        drift tracker report to ``registry`` too."""
+        drift = None
+        if self.drift_threshold is not None:
+            drift = DriftTracker(
+                threshold=self.drift_threshold, window=self.drift_window, registry=registry
+            )
+        cache = SolutionCache(
+            self.cache_size, ttl_s=self.cache_ttl_s, eviction=self.cache_eviction,
+            max_bytes=self.cache_max_bytes, drift=drift, registry=registry,
+        )
+        admission = AdmissionController(
+            max_queue_depth=self.queue_depth, default_timeout_s=self.default_timeout_s
+        )
+        return AllocationService(
+            max_batch=self.max_batch, cache=cache, admission=admission,
+            lookaside=lookaside, registry=registry,
+        )

@@ -336,3 +336,73 @@ class TestCliServe:
         assert snapshot["counters"]["service.requests"] == 2
         assert snapshot["counters"]["service.cache.hit"] == 1
         assert snapshot["gauges"]["service.cache.size"] == 1
+
+
+class TestServiceSettings:
+    """The nine service settings are declared once, as ServiceConfig's
+    fields; ``serve`` and ``net-serve`` spell them with one set of flags,
+    and a bad one is refused before anything is served."""
+
+    #: Each command's flags that are not service settings.
+    OWN = {
+        "serve": {"help", "input", "emit_metrics", "metrics_out"},
+        "net-serve": {
+            "help", "host", "port", "workers", "routing", "codec", "secret",
+            "lookaside", "lookaside_ttl", "peers", "gossip_interval",
+            "gossip_budget", "server_id", "metrics_out",
+        },
+    }
+
+    @staticmethod
+    def flags(command):
+        """``{dest: default}`` of every flag of one subcommand."""
+        import argparse
+
+        from repro.cli import _build_parser
+
+        sub = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        return {action.dest: action.default for action in sub.choices[command]._actions}
+
+    def test_both_commands_spell_exactly_the_config_fields(self):
+        import dataclasses
+
+        from repro.service import ServiceConfig
+
+        fields = {f.name: f.default for f in dataclasses.fields(ServiceConfig)}
+        assert len(fields) == 9
+        for command, own in self.OWN.items():
+            flags = self.flags(command)
+            assert {k: v for k, v in flags.items() if k not in own} == fields, command
+
+    def test_components_take_only_the_settings_they_use(self):
+        import dataclasses
+        import inspect
+
+        from repro.net import NetServer
+        from repro.service import AllocationService, ServiceConfig
+
+        settings = {f.name for f in dataclasses.fields(ServiceConfig)}
+        server = set(inspect.signature(NetServer.__init__).parameters)
+        service = set(inspect.signature(AllocationService.__init__).parameters)
+        assert not settings & server
+        assert settings & service == {"max_batch"}
+
+    def test_serve_refuses_a_bad_setting_before_reading_input(self, capsys):
+        # No --input: a serve that got as far as reading would read stdin.
+        assert main(["serve", "--cache-size", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "serve: capacity must be >= 0\n"
+
+    def test_net_serve_refuses_a_bad_setting_before_listening(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "net-serve", "--port", "0",
+             "--cache-size", "-1"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "net-serve: capacity must be >= 0\n"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.core.model import FileAllocationProblem
 from repro.exceptions import ConfigurationError
-from repro.net.worker import WorkerConfig, _build_service, solve_payloads
-from repro.service import REJECT_SOLVER_ERROR, AllocationService
+from repro.net.worker import solve_payloads
+from repro.service import REJECT_SOLVER_ERROR, AllocationService, ServiceConfig
 from repro.service.codec import parse_request, safe_parse
 
 BIG = 1e308
@@ -74,7 +75,7 @@ def assert_solver_error(answer, rid="bad"):
 
 def alone(payloads):
     """Each payload's answer from a fresh worker service, on its own."""
-    return [solve_payloads(_build_service(WorkerConfig())[0], [p])[0] for p in payloads]
+    return [solve_payloads(ServiceConfig().build(), [p])[0] for p in payloads]
 
 
 class TestOverflowingRequest:
@@ -89,7 +90,7 @@ class TestOverflowingRequest:
         ids=["singleton", "group-row-0"],
     )
     def test_solve_payloads_fails_only_the_bad_request(self, group):
-        service, _ = _build_service(WorkerConfig())
+        service = ServiceConfig().build()
         with np.errstate(over="ignore", invalid="ignore"):
             answers = solve_payloads(service, group)
         assert len(answers) == 3
@@ -104,13 +105,13 @@ class TestOverflowingRequest:
 
     def test_threaded_service_keeps_serving(self):
         requests = [parse_request(healthy(rid, 4, k)) for rid, k in (("a", 1.0), ("b", 2.0))]
-        with AllocationService(cache_size=0).start() as service:
+        with ServiceConfig(cache_size=0).build().start() as service:
             with np.errstate(over="ignore", invalid="ignore"):
                 poisoned = service.submit(parse_request(bad()))
                 assert poisoned.wait(10.0).reason == REJECT_SOLVER_ERROR
             answers = [service.submit(r).wait(10.0) for r in requests]
         for request, answer in zip(requests, answers):
-            want = AllocationService(cache_size=0).solve(request)
+            want = ServiceConfig(cache_size=0).build().solve(request)
             assert answer.ok
             assert np.array_equal(answer.allocation, want.allocation)
             assert answer.cost == want.cost
@@ -153,6 +154,88 @@ def test_solve_payloads_keeps_answers_resolved_before_a_failure():
     }
     for got, want in zip(answers[:2], alone(payloads[:2])):
         assert_same_solve(got, want)
+
+
+class _FailsAfterClaim(AllocationService):
+    """A service whose dispatch raises right after it claimed a queued
+    request mid-flight.  Its first claim sets ``in_flight`` and waits for
+    ``gate``, so a test can queue that request while a group solves."""
+
+    def __init__(self):
+        super().__init__()
+        self.in_flight = threading.Event()
+        self.gate = threading.Event()
+
+    def _claim_compatible(self, key, limit):
+        self.in_flight.set()
+        self.gate.wait(10.0)
+        claimed, resolved = super()._claim_compatible(key, limit)
+        if claimed:
+            raise RuntimeError("claimed, then failed")
+        return claimed, resolved
+
+
+class TestThreadedDispatchFailure:
+    """Under ``start()``, a dispatch that raises answers every request its
+    pump held with a ``solver_error``, and the dispatcher keeps serving."""
+
+    def test_failed_request_is_answered_and_the_next_is_served(self):
+        with _FailsOnBoom().start() as service:
+            boom = service.submit(parse_request(healthy("boom", 3))).wait(10.0)
+            after = service.submit(parse_request(healthy("a", 4))).wait(10.0)
+        assert boom.reason == REJECT_SOLVER_ERROR
+        assert boom.detail == "dispatch failed: RuntimeError: boom"
+        assert_same_solve(after.as_dict(), alone([healthy("a", 4)])[0])
+
+    def test_requests_claimed_mid_flight_are_answered(self):
+        service = _FailsAfterClaim()
+        group = [service.submit(parse_request(healthy(rid, 4, k)))
+                 for rid, k in (("a", 1.0), ("b", 2.0))]
+        with service.start():
+            # The group is solving; queue "late" for its first free slot.
+            assert service.in_flight.wait(10.0)
+            late = service.submit(parse_request(healthy("late", 4, k=3.0)))
+            service.gate.set()
+            answers = [ticket.wait(10.0) for ticket in group + [late]]
+            after = service.submit(parse_request(healthy("c", 3))).wait(10.0)
+        assert not answers[-1].ok
+        for answer in answers:
+            if not answer.ok:
+                assert answer.reason == REJECT_SOLVER_ERROR
+                assert answer.detail == "dispatch failed: RuntimeError: claimed, then failed"
+        assert_same_solve(after.as_dict(), alone([healthy("c", 3)])[0])
+
+
+class TestNonObjectPayload:
+    """A JSON value that is not an object is answered in-band with id
+    ``""``; the requests around it are answered as if it were not there."""
+
+    NON_OBJECTS = [[1, 2], "text", 3, None]
+    ANSWER = {
+        "id": "",
+        "status": "error",
+        "detail": "ConfigurationError: each request must be a JSON object",
+    }
+
+    def test_through_the_payload_function(self):
+        group = [healthy("a", 3)] + self.NON_OBJECTS + [healthy("b", 3, k=2.0)]
+        answers = ServiceConfig().build().solve_payloads(group)
+        assert answers[1:-1] == [self.ANSWER] * len(self.NON_OBJECTS)
+        want = alone([healthy("a", 3), healthy("b", 3, k=2.0)])
+        for got, w in zip((answers[0], answers[-1]), want):
+            assert_same_solve(got, w)
+
+    def test_through_serve(self, capsys, tmp_path):
+        from repro.cli import main
+
+        lines = [healthy("a", 3)] + self.NON_OBJECTS + [healthy("b", 4)]
+        path = tmp_path / "requests.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["serve", "--input", str(path), "--max-batch", "2"]) == 0
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert out[1:-1] == [self.ANSWER] * len(self.NON_OBJECTS)
+        for got, want in zip((out[0], out[-1]), alone([healthy("a", 3), healthy("b", 4)])):
+            assert_same_solve(got, want)
 
 
 class TestServiceRateLength:
@@ -281,7 +364,7 @@ class TestPostDecodeFuzz:
     a finite cost.  A healthy request of the same size rides along, so a
     parseable hostile payload is solved as a group row as well as alone."""
 
-    service = _build_service(WorkerConfig())[0]
+    service = ServiceConfig().build()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(payload=hostile_payloads(), k=st.floats(1.0, 2.0), pair=st.booleans())

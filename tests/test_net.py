@@ -5,7 +5,7 @@ processes, TCP listeners on 127.0.0.1 ephemeral ports) and exercise the
 contracts the subsystem exists for:
 
 * **parity** — a request solved over the wire is bit-for-bit the solve
-  the in-process :class:`~repro.service.ServiceClient` produces, and
+  an in-process :class:`~repro.service.AllocationService` produces, and
   repeats register exact cache hits in the merged stats;
 * **crash recovery** — SIGKILL of a worker mid-solve produces structured
   ``worker_restarted`` errors for exactly the in-flight requests, a
@@ -45,7 +45,7 @@ from repro.net import (
 )
 from repro.net import binary as wire
 from repro.net.worker import ERROR_WORKER_RESTARTED
-from repro.service import AllocationService, ServiceClient
+from repro.service import AllocationService, ServiceConfig
 from repro.service import codec
 from repro.service.codec import parse_request, safe_parse
 
@@ -107,8 +107,8 @@ def strip_latency(response):
 class TestLoopbackParity:
     def test_networked_solves_match_in_process_bit_for_bit(self):
         payloads = varied_payloads(6)
-        local = ServiceClient(AllocationService(max_batch=8))
-        expected = [local.solve_payload(dict(p)) for p in payloads]
+        local = AllocationService(max_batch=8)
+        expected = [local.solve_payloads([dict(p)])[0] for p in payloads]
         with NetServer(port=0, workers=2) as server:
             host, port = server.address
             with NetClient(host, port) as client:
@@ -337,8 +337,8 @@ class TestAuth:
 class TestPipelining:
     def test_binary_burst_returns_in_input_order_with_parity(self):
         payloads = varied_payloads(12, seed=5)
-        local = ServiceClient(AllocationService(max_batch=8))
-        expected = [local.solve_payload(dict(p)) for p in payloads]
+        local = AllocationService(max_batch=8)
+        expected = [local.solve_payloads([dict(p)])[0] for p in payloads]
         with NetServer(port=0, workers=2) as server:
             host, port = server.address
             with NetClient(host, port) as client:
@@ -361,7 +361,7 @@ class TestBackpressure:
         # be rejected *immediately* — while the worker is still busy —
         # instead of queueing without bound.
         slow = dict(SLOW_PAYLOAD, max_iterations=120_000)  # ~1-2s bounded
-        with NetServer(port=0, workers=1, queue_depth=1) as server:
+        with NetServer(port=0, workers=1, service=ServiceConfig(queue_depth=1)) as server:
             host, port = server.address
             sock = socket.create_connection((host, port), timeout=30.0)
             try:

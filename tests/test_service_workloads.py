@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.model import FileAllocationProblem
 from repro.network.builders import ring_graph
 from repro.obs import MetricsRegistry
-from repro.service import AllocationService, SolveRequest, request_fingerprint
+from repro.service import AllocationService, SolutionCache, SolveRequest, request_fingerprint
 from repro.workloads import (
     hotspot_rates,
     perturbed_rates,
@@ -60,7 +60,9 @@ def run_stream(requests, *, max_batch=4):
     # Tiny warm radius: distinct zipf draws never warm-start each other,
     # so the stream's cache story is pure miss/hit and exactly countable.
     service = AllocationService(
-        max_batch=max_batch, max_warm_distance=1e-9, registry=registry
+        max_batch=max_batch,
+        cache=SolutionCache(max_warm_distance=1e-9, registry=registry),
+        registry=registry,
     )
     responses = []
     # Feed in windows of max_batch, like the serve loop does.
@@ -124,7 +126,9 @@ class TestHotspotStream:
         # Distinct hot-spot positions sit within the default warm radius
         # of each other; shrink it so only exact revisits count.
         service = AllocationService(
-            max_batch=1, max_warm_distance=1e-9, registry=registry
+            max_batch=1,
+            cache=SolutionCache(max_warm_distance=1e-9, registry=registry),
+            registry=registry,
         )
         responses = [service.solve(r) for r in requests]
         assert [r.cache for r in responses] == ["miss"] * N + ["hit"] * N
