@@ -23,61 +23,28 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.core import (
-    AllocationResult,
-    DecentralizedAllocator,
-    FileAllocationProblem,
-    MultiFileAllocator,
-    MultiFileProblem,
-    SecondOrderAllocator,
-    check_kkt,
-    optimal_allocation,
-    optimal_cost,
-    solve,
-    theorem2_alpha_bound,
-)
-from repro.net import NetClient, NetServer
-from repro.network import Topology, VirtualRing, complete_graph, ring_graph
-from repro.obs import JsonLinesSink, MemorySink, MetricsRegistry, RunReport
-from repro.parallel import (
-    BatchedAllocator,
-    BatchedProblem,
-    ContinuousBatcher,
-    sweep_parallel,
-)
-from repro.service import AllocationService, ServiceConfig, SolveRequest, SolveResponse
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AllocationResult",
-    "AllocationService",
-    "BatchedAllocator",
-    "BatchedProblem",
-    "ContinuousBatcher",
-    "DecentralizedAllocator",
-    "FileAllocationProblem",
-    "JsonLinesSink",
-    "MemorySink",
-    "MetricsRegistry",
-    "MultiFileAllocator",
-    "MultiFileProblem",
-    "NetClient",
-    "NetServer",
-    "RunReport",
-    "SecondOrderAllocator",
-    "ServiceConfig",
-    "SolveRequest",
-    "SolveResponse",
-    "Topology",
-    "VirtualRing",
-    "__version__",
-    "check_kkt",
-    "complete_graph",
-    "optimal_allocation",
-    "optimal_cost",
-    "ring_graph",
-    "solve",
-    "sweep_parallel",
-    "theorem2_alpha_bound",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core": [
+        "AllocationResult",
+        "DecentralizedAllocator",
+        "FileAllocationProblem",
+        "MultiFileAllocator",
+        "MultiFileProblem",
+        "SecondOrderAllocator",
+        "check_kkt",
+        "optimal_allocation",
+        "optimal_cost",
+        "solve",
+        "theorem2_alpha_bound",
+    ],
+    "net": ["NetClient", "NetServer"],
+    "network": ["Topology", "VirtualRing", "complete_graph", "ring_graph"],
+    "obs": ["JsonLinesSink", "MemorySink", "MetricsRegistry", "RunReport"],
+    "parallel": ["BatchedAllocator", "BatchedProblem", "ContinuousBatcher", "sweep_parallel"],
+    "service": ["AllocationService", "ServiceConfig", "SolveRequest", "SolveResponse"],
+})
+__all__.append("__version__")

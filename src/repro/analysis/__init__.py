@@ -5,34 +5,13 @@ Theorem 2, convexity verification, convergence-rate estimation, rapid-phase
 measurement (§6), and oscillation metrics (§7.3).
 """
 
-from repro.analysis.bounds import DerivativeBounds, derivative_bounds
-from repro.analysis.convergence import (
-    estimate_linear_rate,
-    iterations_to_tolerance,
-    sweep_alpha_iterations,
-)
-from repro.analysis.convexity import verify_convexity_on_grid
-from repro.analysis.optimality import optimality_gap
-from repro.analysis.oscillation import detect_oscillation, oscillation_metrics
-from repro.analysis.sensitivity import (
-    KOperatingPoint,
-    choose_k_for_delay_budget,
-    evaluate_k,
-    sweep_k,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DerivativeBounds",
-    "KOperatingPoint",
-    "choose_k_for_delay_budget",
-    "derivative_bounds",
-    "detect_oscillation",
-    "estimate_linear_rate",
-    "evaluate_k",
-    "iterations_to_tolerance",
-    "optimality_gap",
-    "oscillation_metrics",
-    "sweep_alpha_iterations",
-    "sweep_k",
-    "verify_convexity_on_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bounds": ["DerivativeBounds", "derivative_bounds"],
+    "convergence": ["estimate_linear_rate", "iterations_to_tolerance", "sweep_alpha_iterations"],
+    "convexity": ["verify_convexity_on_grid"],
+    "optimality": ["optimality_gap"],
+    "oscillation": ["detect_oscillation", "oscillation_metrics"],
+    "sensitivity": ["KOperatingPoint", "choose_k_for_delay_budget", "evaluate_k", "sweep_k"],
+})

@@ -17,24 +17,11 @@ generally (§3).  This package provides:
   grid search for tiny instances (test oracle).
 """
 
-from repro.baselines.centralized import (
-    ProjectedGradientSolver,
-    scipy_reference_optimum,
-)
-from repro.baselines.exhaustive import exhaustive_grid_optimum
-from repro.baselines.local_search import local_search_integral_multifile
-from repro.baselines.integral import (
-    best_integral_allocation,
-    greedy_integral_multifile,
-    integral_costs,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProjectedGradientSolver",
-    "best_integral_allocation",
-    "exhaustive_grid_optimum",
-    "greedy_integral_multifile",
-    "integral_costs",
-    "local_search_integral_multifile",
-    "scipy_reference_optimum",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "centralized": ["ProjectedGradientSolver", "scipy_reference_optimum"],
+    "exhaustive": ["exhaustive_grid_optimum"],
+    "integral": ["best_integral_allocation", "greedy_integral_multifile", "integral_costs"],
+    "local_search": ["local_search_integral_multifile"],
+})

@@ -29,21 +29,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import sys
 from typing import List, Optional
 
 import numpy as np
 
-from repro.core.algorithm import DecentralizedAllocator
-from repro.core.initials import paper_skewed_allocation, single_node_allocation
-from repro.core.model import FileAllocationProblem
-from repro.exceptions import ConfigurationError
-from repro.experiments import ascii_plot, figures
+# Only what the parser needs; each command imports the rest itself, so a
+# command loads none of the modules only other commands run.
 from repro.network import builders
-from repro.obs import JsonLinesSink, MetricsRegistry, RunReport
 from repro.service import EVICTION_POLICIES, ServiceConfig
-from repro.utils.tables import format_table
 
 _TOPOLOGIES = {
     "ring": builders.ring_graph,
@@ -359,6 +353,8 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
 
 
 def _initial_allocation(start: str, n: int) -> np.ndarray:
+    from repro.core.initials import paper_skewed_allocation, single_node_allocation
+
     starts = {
         "uniform": np.full(n, 1.0 / n),
         "skewed": paper_skewed_allocation(n),
@@ -368,6 +364,8 @@ def _initial_allocation(start: str, n: int) -> np.ndarray:
 
 
 def _build_instance(args: argparse.Namespace):
+    from repro.core.model import FileAllocationProblem
+
     topo = _TOPOLOGIES[args.topology](args.nodes)
     rates = np.full(args.nodes, args.rate / args.nodes)
     problem = FileAllocationProblem.from_topology(topo, rates, k=args.k, mu=args.mu)
@@ -377,25 +375,27 @@ def _build_instance(args: argparse.Namespace):
 class _SweepFactory:
     """Picklable problem factory for ``repro-fap sweep``: a fixed instance
     spec whose swept slot (k / mu / rate) is filled per grid value.  For
-    alpha sweeps the problem is the same at every grid point."""
+    alpha sweeps the problem is the same at every grid point.  Every grid
+    point shares one network, so its least-cost search runs once."""
 
     def __init__(self, param: str, nodes: int, topology: str, mu: float,
                  rate: float, k: float):
         self.param = param
         self.nodes = nodes
-        self.topology = topology
+        self.topology = _TOPOLOGIES[topology](nodes)
         self.mu = mu
         self.rate = rate
         self.k = k
 
     def __call__(self, value):
+        from repro.core.model import FileAllocationProblem
+
         spec = {"mu": self.mu, "rate": self.rate, "k": self.k}
         if self.param in spec:
             spec[self.param] = float(value)
-        topo = _TOPOLOGIES[self.topology](self.nodes)
         rates = np.full(self.nodes, spec["rate"] / self.nodes)
         return FileAllocationProblem.from_topology(
-            topo, rates, k=spec["k"], mu=spec["mu"]
+            self.topology, rates, k=spec["k"], mu=spec["mu"]
         )
 
 
@@ -481,7 +481,7 @@ def _batched_warm_sweep(args, values, factory, x0):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweeps import SweepResult, parameter_sweep, sweep_parallel
+    from repro.utils.tables import format_table
 
     if args.chains < 1:
         raise SystemExit("sweep: --chains must be >= 1")
@@ -496,6 +496,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.engine == "batched" and args.warm_start:
         sweep = _batched_warm_sweep(args, values, factory, x0)
     elif args.engine == "batched":
+        from repro.experiments.sweeps import SweepResult
         from repro.parallel import BatchedAllocator, BatchedProblem
 
         batch = BatchedProblem.from_problems([factory(v) for v in values])
@@ -519,6 +520,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ],
         )
     elif args.engine == "pooled":
+        from repro.experiments.sweeps import sweep_parallel
+
         sweep = sweep_parallel(
             args.param, values, factory,
             measure=_sweep_measure,
@@ -533,6 +536,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         # "serial" and "fast" share the in-process sweep; "fast" swaps the
         # per-point solver loop for the fused one.
+        from repro.experiments.sweeps import parameter_sweep
+
         sweep = parameter_sweep(
             args.param, values, factory,
             measure=_sweep_measure,
@@ -567,8 +572,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     stdout stays machine-readable.  A bad service setting is refused
     before any input is read (exit 2).
     """
+    import itertools
     import json
 
+    from repro.exceptions import ConfigurationError
+    from repro.obs import JsonLinesSink, MetricsRegistry
     from repro.service import iter_request_payloads
 
     registry = MetricsRegistry()
@@ -631,6 +639,7 @@ def _cmd_net_serve(args: argparse.Namespace) -> int:
     """
     import json
 
+    from repro.exceptions import ConfigurationError
     from repro.net import NetServer
 
     try:
@@ -711,7 +720,7 @@ def _cmd_net_solve(args: argparse.Namespace) -> int:
     import json
 
     from repro.net import NetClient, NetError
-    from repro.service import iter_request_payloads
+    from repro.service import iter_request_payloads, safe_parse
 
     host, _, port_text = args.connect.rpartition(":")
     try:
@@ -733,14 +742,19 @@ def _cmd_net_solve(args: argparse.Namespace) -> int:
         served = errors = 0
         try:
             for payload in iter_request_payloads(stream):
-                try:
-                    response = client.solve_payload(payload)
-                except NetError as exc:
-                    response = {
-                        "id": str(payload.get("id", "")),
-                        "status": "error",
-                        "detail": f"{type(exc).__name__}: {exc}",
-                    }
+                if not isinstance(payload, dict) or payload.get("status") == "error":
+                    # No frame carries a non-object, and a line that was not
+                    # JSON is already its own answer: both answer here.
+                    response = safe_parse(payload)[1]
+                else:
+                    try:
+                        response = client.solve_payload(payload)
+                    except NetError as exc:
+                        response = {
+                            "id": str(payload.get("id", "")),
+                            "status": "error",
+                            "detail": f"{type(exc).__name__}: {exc}",
+                        }
                 if response.get("status") == "ok":
                     served += 1
                 else:
@@ -761,6 +775,9 @@ def _cmd_net_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from repro.core.algorithm import DecentralizedAllocator
+    from repro.obs import JsonLinesSink, MetricsRegistry, RunReport
+
     problem, start = _build_instance(args)
     registry = None
     sink = None
@@ -780,6 +797,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"final cost: {result.cost:.6g}")
     print("allocation:", np.array2string(result.allocation, precision=4))
     if args.plot:
+        from repro.experiments import ascii_plot
+
         print(ascii_plot({"cost": result.trace.costs()}, title="convergence profile"))
     if registry is not None:
         print(f"metrics: {sink.emitted} events -> {args.emit_metrics}")
@@ -789,6 +808,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Solve while streaming every iteration as a JSON line."""
+    from repro.core.algorithm import DecentralizedAllocator
+    from repro.obs import JsonLinesSink, MetricsRegistry
+
     problem, start = _build_instance(args)
     registry = MetricsRegistry()
     sink = (
@@ -813,6 +835,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _print_figure(number: int) -> None:
+    from repro.experiments import ascii_plot, figures
+    from repro.utils.tables import format_table
+
     if number == 3:
         res = figures.figure3()
         print(format_table(res.HEADERS, res.rows(), title="Figure 3: convergence profiles"))
@@ -879,6 +904,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "copies":
         from repro.multicopy import optimal_copy_count_with_writes
         from repro.network.virtual_ring import VirtualRing
+        from repro.utils.tables import format_table
 
         ring = VirtualRing([1.0] * args.nodes)
         sweep = optimal_copy_count_with_writes(

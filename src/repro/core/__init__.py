@@ -9,96 +9,53 @@ Typical use::
     result.allocation                                    # -> ~[0.25]*4
 """
 
-from repro.core.active_set import (
-    ActiveSetPolicy,
-    ClampRedistribute,
-    PaperActiveSet,
-    ScaledStep,
-    Unconstrained,
-    make_policy,
-)
-from repro.core.algorithm import AllocationResult, DecentralizedAllocator, solve
-from repro.core.initials import (
-    paper_skewed_allocation,
-    proportional_allocation,
-    random_allocation,
-    single_node_allocation,
-    uniform_allocation,
-)
-from repro.core.kkt import KKTReport, check_kkt, optimal_allocation, optimal_cost
-from repro.core.model import FileAllocationProblem
-from repro.core.multifile import MultiFileAllocator, MultiFileProblem
-from repro.core.neighbor import (
-    GossipAverageAllocator,
-    NeighborOnlyAllocator,
-    graph_laplacian,
-    metropolis_weights,
-)
-from repro.core.query_update import QueryUpdateSpec, build_query_update_problem
-from repro.core.second_order import SecondOrderAllocator
-from repro.core.stepsize import (
-    BacktrackingLineSearch,
-    DecayOnOscillation,
-    DynamicStep,
-    FixedStep,
-    StepSizePolicy,
-    TheoremTwoStep,
-    make_stepsize,
-    theorem2_alpha_bound,
-)
-from repro.core.termination import (
-    AnyOf,
-    CostDeltaCriterion,
-    GradientSpreadCriterion,
-    LowestObservedCostCriterion,
-    TerminationCriterion,
-)
-from repro.core.trace import IterationRecord, Trace
-from repro.core.volume import VolumeCostProblem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActiveSetPolicy",
-    "AllocationResult",
-    "AnyOf",
-    "BacktrackingLineSearch",
-    "ClampRedistribute",
-    "CostDeltaCriterion",
-    "DecayOnOscillation",
-    "DecentralizedAllocator",
-    "DynamicStep",
-    "FileAllocationProblem",
-    "FixedStep",
-    "GossipAverageAllocator",
-    "GradientSpreadCriterion",
-    "IterationRecord",
-    "KKTReport",
-    "LowestObservedCostCriterion",
-    "MultiFileAllocator",
-    "MultiFileProblem",
-    "NeighborOnlyAllocator",
-    "PaperActiveSet",
-    "QueryUpdateSpec",
-    "ScaledStep",
-    "SecondOrderAllocator",
-    "StepSizePolicy",
-    "TerminationCriterion",
-    "TheoremTwoStep",
-    "Trace",
-    "Unconstrained",
-    "VolumeCostProblem",
-    "build_query_update_problem",
-    "check_kkt",
-    "graph_laplacian",
-    "make_policy",
-    "metropolis_weights",
-    "make_stepsize",
-    "optimal_allocation",
-    "optimal_cost",
-    "paper_skewed_allocation",
-    "proportional_allocation",
-    "random_allocation",
-    "single_node_allocation",
-    "solve",
-    "theorem2_alpha_bound",
-    "uniform_allocation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "active_set": [
+        "ActiveSetPolicy",
+        "ClampRedistribute",
+        "PaperActiveSet",
+        "ScaledStep",
+        "Unconstrained",
+        "make_policy",
+    ],
+    "algorithm": ["AllocationResult", "DecentralizedAllocator", "solve"],
+    "initials": [
+        "paper_skewed_allocation",
+        "proportional_allocation",
+        "random_allocation",
+        "single_node_allocation",
+        "uniform_allocation",
+    ],
+    "kkt": ["KKTReport", "check_kkt", "optimal_allocation", "optimal_cost"],
+    "model": ["FileAllocationProblem"],
+    "multifile": ["MultiFileAllocator", "MultiFileProblem"],
+    "neighbor": [
+        "GossipAverageAllocator",
+        "NeighborOnlyAllocator",
+        "graph_laplacian",
+        "metropolis_weights",
+    ],
+    "query_update": ["QueryUpdateSpec", "build_query_update_problem"],
+    "second_order": ["SecondOrderAllocator"],
+    "stepsize": [
+        "BacktrackingLineSearch",
+        "DecayOnOscillation",
+        "DynamicStep",
+        "FixedStep",
+        "StepSizePolicy",
+        "TheoremTwoStep",
+        "make_stepsize",
+        "theorem2_alpha_bound",
+    ],
+    "termination": [
+        "AnyOf",
+        "CostDeltaCriterion",
+        "GradientSpreadCriterion",
+        "LowestObservedCostCriterion",
+        "TerminationCriterion",
+    ],
+    "trace": ["IterationRecord", "Trace"],
+    "volume": ["VolumeCostProblem"],
+})

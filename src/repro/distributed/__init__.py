@@ -19,53 +19,22 @@ network, instead of just evaluating the mathematics centrally:
   claim.
 """
 
-from repro.distributed.access_traffic import TrafficStats, simulate_access_traffic
-from repro.distributed.failover import (
-    FailoverRunResult,
-    degraded_subproblem,
-    run_with_failure,
-)
-from repro.distributed.failures import FailureImpact, failure_impact
-from repro.distributed.messages import (
-    AccessRequest,
-    AccessResponse,
-    AverageAnnouncement,
-    MarginalReport,
-    Message,
-)
-from repro.distributed.metrics import MessageStats
-from repro.distributed.multicopy_runtime import (
-    MultiCopyDistributedResult,
-    MultiCopyDistributedRuntime,
-)
-from repro.distributed.protocols import (
-    BroadcastProtocol,
-    CentralCoordinatorProtocol,
-    FloodingProtocol,
-)
-from repro.distributed.runtime import DistributedFapRuntime, DistributedRunResult
-from repro.distributed.simulator import Simulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessRequest",
-    "AccessResponse",
-    "AverageAnnouncement",
-    "BroadcastProtocol",
-    "CentralCoordinatorProtocol",
-    "DistributedFapRuntime",
-    "DistributedRunResult",
-    "FailoverRunResult",
-    "FloodingProtocol",
-    "FailureImpact",
-    "MarginalReport",
-    "Message",
-    "MessageStats",
-    "MultiCopyDistributedResult",
-    "MultiCopyDistributedRuntime",
-    "Simulator",
-    "TrafficStats",
-    "degraded_subproblem",
-    "failure_impact",
-    "run_with_failure",
-    "simulate_access_traffic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "access_traffic": ["TrafficStats", "simulate_access_traffic"],
+    "failover": ["FailoverRunResult", "degraded_subproblem", "run_with_failure"],
+    "failures": ["FailureImpact", "failure_impact"],
+    "messages": [
+        "AccessRequest",
+        "AccessResponse",
+        "AverageAnnouncement",
+        "MarginalReport",
+        "Message",
+    ],
+    "metrics": ["MessageStats"],
+    "multicopy_runtime": ["MultiCopyDistributedResult", "MultiCopyDistributedRuntime"],
+    "protocols": ["BroadcastProtocol", "CentralCoordinatorProtocol", "FloodingProtocol"],
+    "runtime": ["DistributedFapRuntime", "DistributedRunResult"],
+    "simulator": ["Simulator"],
+})

@@ -21,31 +21,13 @@ is an independent vectorized implementation, and the test suite verifies
 the two produce identical allocations on the paper's model.
 """
 
-from repro.economics.agents import Agent, CallableAgent, QuadraticAgent
-from repro.economics.lemma import heal_lemma_identity, heal_lemma_lhs
-from repro.economics.pareto import is_pareto_optimal
-from repro.economics.price_directed import PriceDirectedPlanner, TatonnementResult
-from repro.economics.production import (
-    CobbDouglasSector,
-    ProductionPlanner,
-    ProductionPlanResult,
-    Sector,
-)
-from repro.economics.resource_directed import PlannerResult, ResourceDirectedPlanner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Agent",
-    "CallableAgent",
-    "CobbDouglasSector",
-    "PlannerResult",
-    "PriceDirectedPlanner",
-    "ProductionPlanResult",
-    "ProductionPlanner",
-    "QuadraticAgent",
-    "ResourceDirectedPlanner",
-    "Sector",
-    "TatonnementResult",
-    "heal_lemma_identity",
-    "heal_lemma_lhs",
-    "is_pareto_optimal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "agents": ["Agent", "CallableAgent", "QuadraticAgent"],
+    "lemma": ["heal_lemma_identity", "heal_lemma_lhs"],
+    "pareto": ["is_pareto_optimal"],
+    "price_directed": ["PriceDirectedPlanner", "TatonnementResult"],
+    "production": ["CobbDouglasSector", "ProductionPlanResult", "ProductionPlanner", "Sector"],
+    "resource_directed": ["PlannerResult", "ResourceDirectedPlanner"],
+})

@@ -15,25 +15,15 @@ that loop concrete:
   re-allocate as the workload drifts.
 """
 
-from repro.estimation.adaptive import AdaptiveAllocationLoop, AdaptiveEpoch
-from repro.estimation.finite_difference import (
-    finite_difference_gradient,
-    finite_difference_hessian_diag,
-)
-from repro.estimation.perturbation import (
-    NodeObservation,
-    crn_delay_derivative,
-    estimate_marginal_cost,
-    estimate_node_parameters,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveAllocationLoop",
-    "AdaptiveEpoch",
-    "NodeObservation",
-    "crn_delay_derivative",
-    "estimate_marginal_cost",
-    "estimate_node_parameters",
-    "finite_difference_gradient",
-    "finite_difference_hessian_diag",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "adaptive": ["AdaptiveAllocationLoop", "AdaptiveEpoch"],
+    "finite_difference": ["finite_difference_gradient", "finite_difference_hessian_diag"],
+    "perturbation": [
+        "NodeObservation",
+        "crn_delay_derivative",
+        "estimate_marginal_cost",
+        "estimate_node_parameters",
+    ],
+})

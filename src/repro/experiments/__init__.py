@@ -8,38 +8,28 @@ and the paper's reported anchors, which the benchmark suite prints side by
 side and EXPERIMENTS.md records.
 """
 
-from repro.experiments.ascii_plot import ascii_plot
-from repro.experiments.figures import (
-    Figure3Result,
-    Figure4Result,
-    Figure5Result,
-    Figure6Result,
-    Figure8Result,
-    Figure9Result,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure8,
-    figure9,
-)
-from repro.experiments.sweeps import SweepResult, parameter_sweep, sweep_parallel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Figure3Result",
-    "Figure4Result",
-    "Figure5Result",
-    "Figure6Result",
-    "Figure8Result",
-    "Figure9Result",
-    "SweepResult",
-    "ascii_plot",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure8",
-    "figure9",
-    "parameter_sweep",
-    "sweep_parallel",
-]
+# Imported now, not on first use: the function shares its submodule's name,
+# and importing that submodule anywhere would rebind the package attribute
+# to the module before a lazy lookup ran.
+from repro.experiments.ascii_plot import ascii_plot as ascii_plot
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "figures": [
+        "Figure3Result",
+        "Figure4Result",
+        "Figure5Result",
+        "Figure6Result",
+        "Figure8Result",
+        "Figure9Result",
+        "figure3",
+        "figure4",
+        "figure5",
+        "figure6",
+        "figure8",
+        "figure9",
+    ],
+    "sweeps": ["SweepResult", "parameter_sweep", "sweep_parallel"],
+})
+__all__.append("ascii_plot")

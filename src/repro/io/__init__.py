@@ -5,24 +5,17 @@ persist instances and results between sessions; these helpers give every
 core object a stable, versioned JSON form.
 """
 
-from repro.io.serialization import (
-    multifile_problem_from_dict,
-    multifile_problem_to_dict,
-    allocation_result_to_dict,
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
-    save_problem,
-    trace_to_dict,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "allocation_result_to_dict",
-    "load_problem",
-    "multifile_problem_from_dict",
-    "multifile_problem_to_dict",
-    "problem_from_dict",
-    "problem_to_dict",
-    "save_problem",
-    "trace_to_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "serialization": [
+        "allocation_result_to_dict",
+        "load_problem",
+        "multifile_problem_from_dict",
+        "multifile_problem_to_dict",
+        "problem_from_dict",
+        "problem_to_dict",
+        "save_problem",
+        "trace_to_dict",
+    ],
+})

@@ -15,39 +15,20 @@ Modules: :mod:`layout` (who accesses whom, record intervals),
 :mod:`rounding` (§7.2's post-run cap at one whole copy per node).
 """
 
-from repro.multicopy.algorithm import MultiCopyAllocator, MultiCopyResult
-from repro.multicopy.copy_count import CopyCountEntry, CopyCountResult, optimal_copy_count
-from repro.multicopy.cost import MultiCopyRingProblem
-from repro.multicopy.embedding import (
-    best_virtual_ring,
-    nearest_neighbor_order,
-    ring_circumference,
-    two_opt_improve,
-)
-from repro.multicopy.fixtures import paper_figure8_rings, paper_worked_example
-from repro.multicopy.layout import access_fractions, node_intervals
-from repro.multicopy.readwrite import (
-    ReadWriteRingProblem,
-    optimal_copy_count_with_writes,
-)
-from repro.multicopy.rounding import cap_at_whole_copy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MultiCopyAllocator",
-    "MultiCopyResult",
-    "CopyCountEntry",
-    "CopyCountResult",
-    "MultiCopyRingProblem",
-    "ReadWriteRingProblem",
-    "access_fractions",
-    "best_virtual_ring",
-    "cap_at_whole_copy",
-    "nearest_neighbor_order",
-    "node_intervals",
-    "optimal_copy_count",
-    "optimal_copy_count_with_writes",
-    "paper_figure8_rings",
-    "ring_circumference",
-    "paper_worked_example",
-    "two_opt_improve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "algorithm": ["MultiCopyAllocator", "MultiCopyResult"],
+    "copy_count": ["CopyCountEntry", "CopyCountResult", "optimal_copy_count"],
+    "cost": ["MultiCopyRingProblem"],
+    "embedding": [
+        "best_virtual_ring",
+        "nearest_neighbor_order",
+        "ring_circumference",
+        "two_opt_improve",
+    ],
+    "fixtures": ["paper_figure8_rings", "paper_worked_example"],
+    "layout": ["access_fractions", "node_intervals"],
+    "readwrite": ["ReadWriteRingProblem", "optimal_copy_count_with_writes"],
+    "rounding": ["cap_at_whole_copy"],
+})

@@ -61,66 +61,25 @@ docs/COOKBOOK.md ("Serving over the network") and docs/PERFORMANCE.md
 (measured scaling and shard-affinity numbers) cover operation.
 """
 
-from repro.net.binary import (
-    BINARY_MAGIC,
-    BINARY_VERSION,
-    MAX_FRAME_BYTES,
-    BinaryFrameError,
-    BinaryFrameReader,
-    FrameError,
-    decode_binary_frames,
-    encode_binary_frame,
-    send_binary_frame,
-)
-from repro.net.client import (
-    NetAuthError,
-    NetClient,
-    NetConnectionError,
-    NetError,
-    NetTimeout,
-)
-from repro.net.gossip import GOSSIP_OPS, GossipAgent
-from repro.net.lookaside import (
-    LookasideTier,
-    donor_record,
-    params_from_payload,
-    wire_record,
-)
-from repro.net.peers import PeerState, parse_peers
-from repro.net.router import routing_key, shard_for, shard_of_key
-from repro.net.server import REJECT_OVERLOADED, REJECT_SHUTTING_DOWN, NetServer
-from repro.net.worker import WorkerCrashed, WorkerHandle, worker_main
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BINARY_MAGIC",
-    "BINARY_VERSION",
-    "BinaryFrameError",
-    "BinaryFrameReader",
-    "FrameError",
-    "GOSSIP_OPS",
-    "GossipAgent",
-    "LookasideTier",
-    "MAX_FRAME_BYTES",
-    "NetAuthError",
-    "NetClient",
-    "NetConnectionError",
-    "NetError",
-    "NetServer",
-    "NetTimeout",
-    "PeerState",
-    "REJECT_OVERLOADED",
-    "REJECT_SHUTTING_DOWN",
-    "WorkerCrashed",
-    "WorkerHandle",
-    "decode_binary_frames",
-    "donor_record",
-    "encode_binary_frame",
-    "params_from_payload",
-    "parse_peers",
-    "routing_key",
-    "send_binary_frame",
-    "shard_for",
-    "shard_of_key",
-    "wire_record",
-    "worker_main",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "binary": [
+        "BINARY_MAGIC",
+        "BINARY_VERSION",
+        "BinaryFrameError",
+        "BinaryFrameReader",
+        "FrameError",
+        "MAX_FRAME_BYTES",
+        "decode_binary_frames",
+        "encode_binary_frame",
+        "send_binary_frame",
+    ],
+    "client": ["NetAuthError", "NetClient", "NetConnectionError", "NetError", "NetTimeout"],
+    "gossip": ["GOSSIP_OPS", "GossipAgent"],
+    "lookaside": ["LookasideTier", "donor_record", "params_from_payload", "wire_record"],
+    "peers": ["PeerState", "parse_peers"],
+    "router": ["routing_key", "shard_for", "shard_of_key"],
+    "server": ["NetServer", "REJECT_OVERLOADED", "REJECT_SHUTTING_DOWN"],
+    "worker": ["WorkerCrashed", "WorkerHandle", "worker_main"],
+})

@@ -16,37 +16,22 @@ package provides:
 * the §7.2 *virtual ring* embedding in :mod:`repro.network.virtual_ring`.
 """
 
-from repro.network.builders import (
-    complete_graph,
-    grid_graph,
-    line_graph,
-    random_geometric_graph,
-    random_graph,
-    ring_graph,
-    star_graph,
-    tree_graph,
-)
-from repro.network.routing import RoutingTable
-from repro.network.shortest_paths import all_pairs_shortest_paths, dijkstra, floyd_warshall
-from repro.network.topology import Topology
-from repro.network.virtual_ring import VirtualRing
-from repro.network.visualize import adjacency_art, topology_summary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RoutingTable",
-    "Topology",
-    "VirtualRing",
-    "adjacency_art",
-    "all_pairs_shortest_paths",
-    "complete_graph",
-    "dijkstra",
-    "floyd_warshall",
-    "grid_graph",
-    "line_graph",
-    "random_geometric_graph",
-    "random_graph",
-    "ring_graph",
-    "star_graph",
-    "topology_summary",
-    "tree_graph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "builders": [
+        "complete_graph",
+        "grid_graph",
+        "line_graph",
+        "random_geometric_graph",
+        "random_graph",
+        "ring_graph",
+        "star_graph",
+        "tree_graph",
+    ],
+    "routing": ["RoutingTable"],
+    "shortest_paths": ["all_pairs_shortest_paths", "dijkstra", "floyd_warshall"],
+    "topology": ["Topology"],
+    "virtual_ring": ["VirtualRing"],
+    "visualize": ["adjacency_art", "topology_summary"],
+})

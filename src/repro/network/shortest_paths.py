@@ -4,13 +4,15 @@ The model's pairwise access cost ``c_ij`` is the least-cost route between
 ``i`` and ``j`` ("the routing of the access requests between any two given
 nodes was taken to be along the shortest (least expensive) path", §6).
 
-Every problem built with ``FileAllocationProblem.from_topology`` runs one
-search per node, so the search reads the topology once: :func:`_adjacency`
-turns the link-cost matrix into per-node ascending ``(neighbour, cost)``
-lists of plain Python ints and floats, and :func:`_search` runs
-binary-heap Dijkstra on them.  :func:`all_pairs_shortest_paths` and
+``FileAllocationProblem.from_topology`` needs one search per node, so the
+search reads the topology once: :func:`_adjacency` turns the link-cost
+matrix into per-node ascending ``(neighbour, cost)`` lists of plain Python
+ints and floats, and :func:`_search` runs binary-heap Dijkstra on them.
+:func:`all_pairs_shortest_paths` and
 :class:`~repro.network.routing.RoutingTable` build the lists once for all
-sources.  The lists change no arithmetic: the heap sees the pushes and
+sources, and the topology keeps the all-pairs matrix until its links
+change, so problems built on one network share one search.  The lists
+change no arithmetic: the heap sees the pushes and
 pops, and each ``d + w`` adds the two floats, that a search through
 ``Topology.neighbors`` and ``Topology.edge_cost`` would, so every distance
 and predecessor is bit for bit that search's (the test suite keeps it as
@@ -105,14 +107,21 @@ def all_pairs_shortest_paths(topology: Topology, *, require_connected: bool = Tr
     :class:`~repro.exceptions.TopologyError` when the graph is disconnected
     and ``require_connected`` is set, because an unreachable node would give
     an infinite access cost.
+
+    The search runs once per set of links: ``topology`` keeps the matrix
+    until ``add_edge`` or ``remove_edge`` changes a link cost.  Each call
+    returns its own copy, so a caller that writes into it changes no other
+    caller's matrix.
     """
-    adj = _adjacency(topology)
-    out = np.array([_search(adj, s)[0] for s in range(topology.n)])
+    out = topology._least_costs
+    if out is None:
+        adj = _adjacency(topology)
+        out = topology._least_costs = np.array([_search(adj, s)[0] for s in range(topology.n)])
     if require_connected and not np.all(np.isfinite(out)):
         raise TopologyError(
             f"topology {topology.name!r} is disconnected; access costs would be infinite"
         )
-    return out
+    return out.copy()
 
 
 def shortest_path(topology: Topology, source: int, target: int) -> List[int]:

@@ -5,11 +5,17 @@ A :class:`Topology` stores node count and a symmetric link-cost matrix with
 allocation model only needs pairwise least-cost access costs — but exposes
 enough structure (edges, neighbors, connectivity) for the routing layer and
 the discrete-event simulator to work hop by hop.
+
+A topology also keeps the all-pairs least-cost matrix that
+:func:`~repro.network.shortest_paths.all_pairs_shortest_paths` last
+computed for it, until a link cost changes.  ``c_ij`` depends only on the
+network, so every problem built on one topology (a sweep over k, mu or
+lambda) shares one search.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +45,10 @@ class Topology:
         self.name = name or f"topology-{n}"
         self._cost = np.full((n, n), np.inf)
         np.fill_diagonal(self._cost, 0.0)
+        # All-pairs least-cost matrix of the current links, or None until
+        # ``all_pairs_shortest_paths`` computes it; every write to ``_cost``
+        # clears it.
+        self._least_costs: Optional[np.ndarray] = None
         for u, v, cost in edges:
             self.add_edge(u, v, cost)
 
@@ -56,6 +66,7 @@ class Topology:
         if cost < self._cost[u, v]:
             self._cost[u, v] = cost
             self._cost[v, u] = cost
+            self._least_costs = None
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the edge ``u -- v`` (error if absent)."""
@@ -63,6 +74,7 @@ class Topology:
             raise TopologyError(f"no edge between {u} and {v}")
         self._cost[u, v] = np.inf
         self._cost[v, u] = np.inf
+        self._least_costs = None
 
     # -- queries ----------------------------------------------------------
 

@@ -34,16 +34,10 @@ Quick start::
     print(report.summary())
 """
 
-from repro.obs.events import JsonLinesSink, MemorySink, read_jsonl
-from repro.obs.registry import HistogramStat, MetricsRegistry, maybe_timer
-from repro.obs.report import RunReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HistogramStat",
-    "JsonLinesSink",
-    "MemorySink",
-    "MetricsRegistry",
-    "RunReport",
-    "maybe_timer",
-    "read_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "events": ["JsonLinesSink", "MemorySink", "read_jsonl"],
+    "registry": ["HistogramStat", "MetricsRegistry", "maybe_timer"],
+    "report": ["RunReport"],
+})

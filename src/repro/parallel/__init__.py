@@ -39,6 +39,11 @@ Quick start::
     result.allocations[0]                              # row 0's final allocation
 """
 
+# Eager, unlike the other packages' re-exports (repro._lazy): whoever
+# imports this package is about to run one of its kernels, so resolving
+# the names on first use would move these imports into the first sweep
+# call, not remove them.  perfbench's sweep-grid probe imports this
+# package before it stamps itself ready and times every call after.
 from repro.parallel.batched import (
     BatchedAllocator,
     BatchedProblem,

@@ -11,40 +11,21 @@ Kurose–Singh [26], and an event-driven single-queue simulator used by the
 test suite to validate every closed form.
 """
 
-from repro.queueing.approximations import QuadraticOverloadDelay
-from repro.queueing.littles_law import littles_law_lq, littles_law_wq
-from repro.queueing.md1 import MD1Delay
-from repro.queueing.mg1 import MG1Delay
-from repro.queueing.mm1 import MM1Delay
-from repro.queueing.mmc import MMcDelay, erlang_c
-from repro.queueing.service import (
-    DeterministicService,
-    ErlangService,
-    ExponentialService,
-    HyperexponentialService,
-    ServiceDistribution,
-)
-from repro.queueing.simulation import (
-    QueueSimulationResult,
-    simulate_multiserver_queue,
-    simulate_queue,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeterministicService",
-    "ErlangService",
-    "ExponentialService",
-    "HyperexponentialService",
-    "MD1Delay",
-    "MG1Delay",
-    "MM1Delay",
-    "MMcDelay",
-    "QuadraticOverloadDelay",
-    "QueueSimulationResult",
-    "ServiceDistribution",
-    "erlang_c",
-    "littles_law_lq",
-    "littles_law_wq",
-    "simulate_multiserver_queue",
-    "simulate_queue",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "approximations": ["QuadraticOverloadDelay"],
+    "littles_law": ["littles_law_lq", "littles_law_wq"],
+    "md1": ["MD1Delay"],
+    "mg1": ["MG1Delay"],
+    "mm1": ["MM1Delay"],
+    "mmc": ["MMcDelay", "erlang_c"],
+    "service": [
+        "DeterministicService",
+        "ErlangService",
+        "ExponentialService",
+        "HyperexponentialService",
+        "ServiceDistribution",
+    ],
+    "simulation": ["QueueSimulationResult", "simulate_multiserver_queue", "simulate_queue"],
+})

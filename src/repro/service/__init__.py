@@ -33,77 +33,39 @@ and feeds it line-delimited JSON through
 allocations") and docs/PERFORMANCE.md (bench numbers) cover operation.
 """
 
-from repro.service.admission import AdmissionController
-from repro.service.batcher import (
-    ContinuousBatchKey,
-    MicroBatch,
-    MicroBatcher,
-    continuous_batch_key,
-)
-from repro.service.cache import EVICTION_POLICIES, CacheEntry, SolutionCache
-from repro.service.codec import (
-    iter_request_payloads,
-    parse_request,
-    request_to_payload,
-    response_from_dict,
-    safe_parse,
-)
-from repro.service.drift import DriftState, DriftTracker
-from repro.service.fingerprint import (
-    parameter_distance,
-    parameter_vector,
-    problem_fingerprint,
-    relative_distance,
-    request_fingerprint,
-    structural_key,
-    structural_key_from_matrix,
-)
-from repro.service.service import AllocationService, PendingSolve, ServiceConfig
-from repro.service.types import (
-    REJECT_DEADLINE,
-    REJECT_LOAD_SHED,
-    REJECT_QUEUE_FULL,
-    REJECT_SHUTDOWN,
-    REJECT_SOLVER_ERROR,
-    AdmissionDecision,
-    CacheLookup,
-    SolveRequest,
-    SolveResponse,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "AllocationService",
-    "CacheEntry",
-    "CacheLookup",
-    "ContinuousBatchKey",
-    "DriftState",
-    "DriftTracker",
-    "EVICTION_POLICIES",
-    "MicroBatch",
-    "MicroBatcher",
-    "PendingSolve",
-    "REJECT_DEADLINE",
-    "REJECT_LOAD_SHED",
-    "REJECT_QUEUE_FULL",
-    "REJECT_SHUTDOWN",
-    "REJECT_SOLVER_ERROR",
-    "ServiceConfig",
-    "SolutionCache",
-    "SolveRequest",
-    "SolveResponse",
-    "continuous_batch_key",
-    "iter_request_payloads",
-    "parameter_distance",
-    "parameter_vector",
-    "parse_request",
-    "problem_fingerprint",
-    "relative_distance",
-    "request_fingerprint",
-    "request_to_payload",
-    "response_from_dict",
-    "safe_parse",
-    "structural_key",
-    "structural_key_from_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "admission": ["AdmissionController"],
+    "batcher": ["ContinuousBatchKey", "MicroBatch", "MicroBatcher", "continuous_batch_key"],
+    "cache": ["CacheEntry", "EVICTION_POLICIES", "SolutionCache"],
+    "codec": [
+        "iter_request_payloads",
+        "parse_request",
+        "request_to_payload",
+        "response_from_dict",
+        "safe_parse",
+    ],
+    "drift": ["DriftState", "DriftTracker"],
+    "fingerprint": [
+        "parameter_distance",
+        "parameter_vector",
+        "problem_fingerprint",
+        "relative_distance",
+        "request_fingerprint",
+        "structural_key",
+        "structural_key_from_matrix",
+    ],
+    "service": ["AllocationService", "PendingSolve", "ServiceConfig"],
+    "types": [
+        "AdmissionDecision",
+        "CacheLookup",
+        "REJECT_DEADLINE",
+        "REJECT_LOAD_SHED",
+        "REJECT_QUEUE_FULL",
+        "REJECT_SHUTDOWN",
+        "REJECT_SOLVER_ERROR",
+        "SolveRequest",
+        "SolveResponse",
+    ],
+})

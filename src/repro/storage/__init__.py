@@ -19,30 +19,14 @@ and two-phase atomic commit is made executable here:
   in the tests.
 """
 
-from repro.storage.directory import Directory
-from repro.storage.fragments import fragment_allocation, largest_remainder_counts
-from repro.storage.locks import LockManager, LockMode
-from repro.storage.records import File, Record
-from repro.storage.replicated import ReplicatedCluster
-from repro.storage.store import NodeStore, StorageCluster
-from repro.storage.transactions import (
-    Transaction,
-    TransactionManager,
-    TransactionStatus,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Directory",
-    "File",
-    "LockManager",
-    "LockMode",
-    "NodeStore",
-    "Record",
-    "ReplicatedCluster",
-    "StorageCluster",
-    "Transaction",
-    "TransactionManager",
-    "TransactionStatus",
-    "fragment_allocation",
-    "largest_remainder_counts",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "directory": ["Directory"],
+    "fragments": ["fragment_allocation", "largest_remainder_counts"],
+    "locks": ["LockManager", "LockMode"],
+    "records": ["File", "Record"],
+    "replicated": ["ReplicatedCluster"],
+    "store": ["NodeStore", "StorageCluster"],
+    "transactions": ["Transaction", "TransactionManager", "TransactionStatus"],
+})

@@ -1,34 +1,22 @@
 """Shared utilities: validation, numerics, seeding, and table rendering."""
 
-from repro.utils.numeric import (
-    clip_nonnegative,
-    is_close_vector,
-    kahan_sum,
-    normalize_simplex,
-    project_to_simplex,
-)
-from repro.utils.seeding import SeedSequenceFactory, rng_from_seed
-from repro.utils.tables import format_table
-from repro.utils.validation import (
-    check_in_range,
-    check_nonnegative,
-    check_positive,
-    check_probability_vector,
-    check_square_matrix,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SeedSequenceFactory",
-    "check_in_range",
-    "check_nonnegative",
-    "check_positive",
-    "check_probability_vector",
-    "check_square_matrix",
-    "clip_nonnegative",
-    "format_table",
-    "is_close_vector",
-    "kahan_sum",
-    "normalize_simplex",
-    "project_to_simplex",
-    "rng_from_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "numeric": [
+        "clip_nonnegative",
+        "is_close_vector",
+        "kahan_sum",
+        "normalize_simplex",
+        "project_to_simplex",
+    ],
+    "seeding": ["SeedSequenceFactory", "rng_from_seed"],
+    "tables": ["format_table"],
+    "validation": [
+        "check_in_range",
+        "check_nonnegative",
+        "check_positive",
+        "check_probability_vector",
+        "check_square_matrix",
+    ],
+})

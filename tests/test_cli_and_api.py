@@ -200,6 +200,20 @@ class TestCliSweep:
         assert len(restored.values) == 4
         assert all(m["converged"] for m in restored.measurements)
 
+    def test_grid_points_share_one_search(self, monkeypatch):
+        from repro.cli import _SweepFactory
+        from repro.network import shortest_paths
+
+        sources = []
+        search = shortest_paths._search
+        monkeypatch.setattr(
+            shortest_paths, "_search", lambda adj, s: sources.append(s) or search(adj, s)
+        )
+        factory = _SweepFactory("k", 6, "ring", mu=1.5, rate=1.0, k=1.0)
+        problems = [factory(k) for k in (0.5, 1.0, 2.0)]
+        assert sources == list(range(6))
+        assert [p.k for p in problems] == [0.5, 1.0, 2.0]
+
     def test_grid_validation(self):
         from repro.cli import main
 

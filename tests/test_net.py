@@ -696,6 +696,28 @@ class TestNetCli:
         assert final["counters"]["net.requests"] == 3
         assert final["draining"] is True
 
+    def test_net_solve_answers_lines_that_are_not_objects_in_band(self, tmp_path, capsys):
+        from repro.cli import main
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("\n".join([
+            json.dumps(ring_payload(0)), "[1, 2]", "{ring 4", json.dumps(ring_payload(1, mu=2.0)),
+        ]) + "\n")
+        with NetServer(port=0, workers=1) as server:
+            host, port = server.address
+            assert main(["net-solve", "--connect", f"{host}:{port}",
+                         "--input", str(requests)]) == 0
+            with NetClient(host, port) as client:
+                counters = client.stats()["counters"]
+        out, err = capsys.readouterr()
+        responses = [json.loads(line) for line in out.splitlines()]
+        assert [r["status"] for r in responses] == ["ok", "error", "error", "ok"]
+        assert responses[1]["id"] == ""
+        assert "JSON object" in responses[1]["detail"]
+        assert "invalid JSON" in responses[2]["detail"]
+        assert "2 ok, 2 not-ok" in err
+        assert counters["net.requests"] == 2  # the two errors never left the client
+
 
 class TestLookasideTier:
     """Unit semantics of the cross-shard donor tier."""

@@ -127,8 +127,9 @@ def _assert_matches_reference(topo, sources=None):
     sources = list(range(n)) if sources is None else sources
     reference = {s: _reference_dijkstra(topo, s) for s in sources}
     want = np.array([reference[s][0] for s in sources])
-    got = all_pairs_shortest_paths(topo, require_connected=False)
-    assert got[sources].tobytes() == want.tobytes()
+    for _ in range(2):  # the search, then the matrix the topology kept
+        got = all_pairs_shortest_paths(topo, require_connected=False)
+        assert got[sources].tobytes() == want.tobytes()
     for s, (dist, pred) in reference.items():
         got_dist, got_pred = dijkstra(topo, s)
         assert got_dist.tobytes() == dist.tobytes()
@@ -248,6 +249,78 @@ class TestAllPairs:
         topo = Topology(3, [(0, 1, 1.0)])
         d = all_pairs_shortest_paths(topo, require_connected=False)
         assert np.isinf(d[0, 2])
+
+
+def _fresh_matrix(topo):
+    """The matrix a new topology with ``topo``'s links computes."""
+    return all_pairs_shortest_paths(Topology(topo.n, topo.edges()), require_connected=False)
+
+
+class TestStoredMatrix:
+    """A topology keeps its all-pairs matrix until a link cost changes."""
+
+    @pytest.mark.parametrize(
+        "edit, changes",
+        [
+            (lambda t: t.add_edge(0, 1, 0.25), True),  # cheaper parallel edge
+            (lambda t: t.add_edge(0, 3, 0.5), True),  # new chord
+            (lambda t: t.add_edge(0, 1, 5.0), False),  # costlier: keeps 1.0
+            (lambda t: t.remove_edge(0, 1), True),
+        ],
+        ids=["cheaper-edge", "new-edge", "costlier-edge", "remove-edge"],
+    )
+    def test_edit_then_search_equals_fresh_topology(self, edit, changes):
+        topo = ring_graph(7)
+        before = all_pairs_shortest_paths(topo)
+        edit(topo)
+        after = all_pairs_shortest_paths(topo)
+        assert after.tobytes() == _fresh_matrix(topo).tobytes()
+        assert (after.tobytes() != before.tobytes()) == changes
+
+    def test_one_search_per_network(self, monkeypatch):
+        from repro.core.model import FileAllocationProblem
+        from repro.network import shortest_paths
+
+        sources = []
+        search = shortest_paths._search
+        monkeypatch.setattr(
+            shortest_paths, "_search", lambda adj, s: sources.append(s) or search(adj, s)
+        )
+        topo = ring_graph(6)
+        for k in (0.5, 1.0, 2.0):
+            FileAllocationProblem.from_topology(topo, np.full(6, 0.1), k=k, mu=1.5)
+        assert sources == list(range(6))
+
+    def test_writes_reach_no_other_caller(self):
+        from repro.core.model import FileAllocationProblem
+
+        topo = random_graph(10, 0.4, cost_range=(0.1, 10.0), seed=2)
+        want = all_pairs_shortest_paths(topo)
+        all_pairs_shortest_paths(topo)[:] = -1.0
+        assert all_pairs_shortest_paths(topo).tobytes() == want.tobytes()
+        rates = np.full(10, 0.05)
+        first = FileAllocationProblem.from_topology(topo, rates, k=1.0, mu=1.5)
+        second = FileAllocationProblem.from_topology(topo, rates, k=2.0, mu=1.5)
+        first.cost_matrix[0, 1] = 99.0
+        assert second.cost_matrix.tobytes() == want.tobytes()
+        assert all_pairs_shortest_paths(topo).tobytes() == want.tobytes()
+
+    def test_connectivity_checked_on_every_call(self):
+        topo = Topology(3, [(0, 1, 1.0)])
+        assert np.isinf(all_pairs_shortest_paths(topo, require_connected=False)[0, 2])
+        with pytest.raises(TopologyError, match="disconnected"):
+            all_pairs_shortest_paths(topo)
+
+    def test_pickled_topology_keeps_its_matrix(self):
+        import pickle
+
+        topo = random_graph(12, 0.4, cost_range=(0.1, 10.0), seed=3)
+        want = all_pairs_shortest_paths(topo)
+        clone = pickle.loads(pickle.dumps(topo))
+        assert all_pairs_shortest_paths(clone).tobytes() == want.tobytes()
+        clone.add_edge(0, 11, 0.01)  # links cost at least 0.1
+        assert all_pairs_shortest_paths(clone).tobytes() == _fresh_matrix(clone).tobytes()
+        assert all_pairs_shortest_paths(topo).tobytes() == want.tobytes()
 
 
 class TestExplicitPaths:
