@@ -37,7 +37,7 @@ import numpy as np
 # Only what the parser needs; each command imports the rest itself, so a
 # command loads none of the modules only other commands run.
 from repro.network import builders
-from repro.service import EVICTION_POLICIES, ServiceConfig
+from repro.service.settings import EVICTION_POLICIES, ServiceConfig
 
 _TOPOLOGIES = {
     "ring": builders.ring_graph,

@@ -15,8 +15,8 @@ processes without giving up what makes the service fast:
   answers with a structured ``overloaded`` rejection.  The loop never
   parses a request: the worker does;
 * :func:`routing_key` / :func:`shard_for` (:mod:`repro.net.router`) —
-  read a request's network off the decoded frame (its cost matrix's
-  structural key, or its named topology and size), so repeats hit the
+  read a request's network off the frame (its cost matrix's structural
+  key, or its named topology and size), so repeats hit the
   cache that stored them and same-shape requests micro-batch together;
 * :class:`NetClient` — connection pooling, request pipelining
   (:meth:`~NetClient.request_many`: many frames in flight per
@@ -72,6 +72,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "FrameError",
         "MAX_FRAME_BYTES",
         "decode_binary_frames",
+        "decode_forwarded",
         "encode_binary_frame",
         "send_binary_frame",
     ],

@@ -27,6 +27,14 @@ binary frame:
   batches of lookaside donor records — raw float64 parameter and
   allocation vectors — the same way solve bodies pack their arrays.
 
+A :class:`BinaryFrameReader` **forwards** solve bodies instead of
+decoding them: it checks a :data:`KIND_SOLVE` body's layout, reads its
+id, and hands the body bytes on as ``{"id", "packed"}``.  The server's
+event loop routes one on its cost-matrix slice (:func:`forwarded_cost`),
+and the worker that answers it decodes it once
+(:func:`decode_forwarded`).  :func:`decode_binary_frames` decodes every
+body.
+
 Decoding is total: any byte string either decodes to a dict or raises
 :class:`BinaryFrameError` (a :class:`FrameError`).  A stream whose first
 bytes differ from :data:`BINARY_MAGIC` is refused as soon as they
@@ -62,7 +70,9 @@ __all__ = [
     "BinaryFrameReader",
     "FrameError",
     "decode_binary_frames",
+    "decode_forwarded",
     "encode_binary_frame",
+    "forwarded_cost",
     "send_binary_frame",
 ]
 
@@ -242,21 +252,18 @@ def _pack_solve_body(payload: Dict) -> Optional[bytes]:
     )
 
 
-def _unpack_solve_body(body: bytes) -> Dict:
-    """The packed solve body back into a wire-payload dict.
-
-    Array fields come back as ``np.frombuffer`` views over ``body`` —
-    zero copies on the hot path; ``body`` must therefore be an immutable
-    ``bytes`` snapshot (the readers below guarantee it).
-    """
+def _solve_layout(body: bytes) -> Tuple[tuple, str, str, str, int]:
+    """Every check of a packed solve body but building its arrays:
+    ``(front fields, id, name, start name, offset of the cost matrix)``.
+    Raises :class:`BinaryFrameError` on a short or mis-sized body or a
+    negative node count, and ``UnicodeDecodeError`` on an id, a name or
+    (for a named start) a start name that is not UTF-8."""
     if len(body) < _SOLVE_FRONT.size:
         raise BinaryFrameError(
             f"solve body of {len(body)} bytes is shorter than its header"
         )
-    (
-        alpha, epsilon, k, timeout, max_iterations, n, priority, flags,
-        id_len, name_len, start_len,
-    ) = _SOLVE_FRONT.unpack_from(body)
+    front = _SOLVE_FRONT.unpack_from(body)
+    n, flags, id_len, name_len, start_len = front[5], *front[7:]
     if n < 0:
         raise BinaryFrameError(f"solve body declares negative node count {n}")
     pos = _SOLVE_FRONT.size
@@ -265,7 +272,6 @@ def _unpack_solve_body(body: bytes) -> Dict:
         strings.append(body[pos : pos + length])
         pos += length
     id_bytes, name_bytes, start_name = strings
-
     mu_count = 0 if flags & _SOLVE_MU_NONE else (1 if flags & _SOLVE_MU_SCALAR else n)
     start_count = n if flags & _SOLVE_START_VECTOR else 0
     want = pos + 8 * (n * n + n + mu_count + start_count)
@@ -273,6 +279,22 @@ def _unpack_solve_body(body: bytes) -> Dict:
         raise BinaryFrameError(
             f"solve body is {len(body)} bytes, layout requires {want}"
         )
+    name = name_bytes.decode("utf-8")
+    request_id = id_bytes.decode("utf-8")
+    start = "" if start_count else start_name.decode("utf-8")
+    return front, request_id, name, start, pos
+
+
+def _unpack_solve_body(body: bytes) -> Dict:
+    """The packed solve body back into a wire-payload dict.
+
+    Array fields come back as ``np.frombuffer`` views over ``body`` —
+    zero copies on the hot path; ``body`` must therefore be an immutable
+    ``bytes`` snapshot (the readers below guarantee it).
+    """
+    front, request_id, name, start_name, pos = _solve_layout(body)
+    alpha, epsilon, k, timeout, max_iterations, n, priority, flags = front[:8]
+    mu_count = 0 if flags & _SOLVE_MU_NONE else (1 if flags & _SOLVE_MU_SCALAR else n)
 
     def take(count: int) -> np.ndarray:
         nonlocal pos
@@ -283,29 +305,67 @@ def _unpack_solve_body(body: bytes) -> Dict:
     cost = take(n * n).reshape(n, n)
     rates = take(n)
     mu_arr = take(mu_count)
-    start_arr = take(start_count)
 
     problem: Dict = {
         "cost_matrix": cost,
         "access_rates": rates,
         "k": k,
-        "name": name_bytes.decode("utf-8"),
+        "name": name,
     }
     if not flags & _SOLVE_MU_NONE:
         problem["mu"] = float(mu_arr[0]) if flags & _SOLVE_MU_SCALAR else mu_arr
     payload: Dict = {
-        "id": id_bytes.decode("utf-8"),
+        "id": request_id,
         "problem": problem,
         "alpha": alpha,
         "epsilon": epsilon,
         "max_iterations": max_iterations,
-        "start": start_arr if flags & _SOLVE_START_VECTOR
-        else start_name.decode("utf-8"),
+        "start": take(n) if flags & _SOLVE_START_VECTOR else start_name,
         "priority": priority,
     }
     if not np.isnan(timeout):
         payload["timeout_s"] = timeout
     return payload
+
+
+def _forward_solve_body(body: bytes) -> Dict:
+    """A packed solve body checked as :func:`_unpack_solve_body` checks
+    it, but kept packed: ``{"id", "packed"}``."""
+    _front, request_id, _name, _start, _pos = _solve_layout(body)
+    return {"id": request_id, "packed": body}
+
+
+def _forwarded_body(payload: Dict) -> Optional[bytes]:
+    """The packed body of a forwarded solve, or ``None`` for any other
+    payload (no JSON value is ``bytes``)."""
+    body = payload.get("packed")
+    return body if type(body) is bytes else None
+
+
+def forwarded_cost(payload: Dict) -> Optional[np.ndarray]:
+    """The cost matrix of a forwarded solve, as a read-only view over its
+    body (the bytes :func:`decode_forwarded` would put in the payload),
+    or ``None`` for any other payload."""
+    body = _forwarded_body(payload)
+    if body is None:
+        return None
+    front = _SOLVE_FRONT.unpack_from(body)
+    n = front[5]
+    offset = _SOLVE_FRONT.size + sum(front[8:])  # past the id, name and start name
+    return np.frombuffer(body, dtype=np.float64, count=n * n, offset=offset).reshape(n, n)
+
+
+def decode_forwarded(payload: Dict) -> Dict:
+    """A forwarded solve decoded into its wire-payload dict; any other
+    payload unchanged.  A body that does not decode (the reader checked
+    it, so it should not happen) becomes an in-band error marker."""
+    body = _forwarded_body(payload)
+    if body is None:
+        return payload
+    try:
+        return _unpack_solve_body(body)
+    except (BinaryFrameError, ValueError) as exc:
+        return {"id": payload.get("id", ""), "status": "error", "detail": str(exc)}
 
 
 def _pack_result_body(payload: Dict) -> Optional[bytes]:
@@ -500,12 +560,13 @@ def encode_binary_frame(payload: Dict, request_id: int = 0) -> bytes:
     return header + body
 
 
-def _decode_body(kind: int, body: bytes) -> Dict:
-    """One frame body as a payload dict; raises :class:`BinaryFrameError`
-    (and nothing else) on any body that does not decode."""
+def _decode_body(kind: int, body: bytes, forward: bool = False) -> Dict:
+    """One frame body as a payload dict (a solve body kept packed when
+    ``forward``); raises :class:`BinaryFrameError` (and nothing else) on
+    any body that does not decode."""
     try:
         if kind == KIND_SOLVE:
-            return _unpack_solve_body(body)
+            return _forward_solve_body(body) if forward else _unpack_solve_body(body)
         if kind == KIND_RESULT:
             return _unpack_result_body(body)
         if kind == KIND_GOSSIP_RECORDS:
@@ -554,13 +615,14 @@ def _parse_header(buffer, pos: int) -> Optional[Tuple[int, int, int]]:
 
 
 def _split_frames(
-    buffer, pos: int = 0
+    buffer, pos: int = 0, forward: bool = False
 ) -> Tuple[List[Tuple[Dict, int]], int, Optional[BinaryFrameError]]:
     """The wire's one frame splitter: ``(frames, new_pos, error)`` for
     the complete ``(payload, request_id)`` frames in ``buffer[pos:]``,
     the offset past the last of them, and the first frame error (or
     ``None``).  Frames before a bad one are still returned: they arrived
-    first and deserve answers."""
+    first and deserve answers.  With ``forward``, solve bodies stay
+    packed (:func:`_forward_solve_body`), as a reader yields them."""
     frames: List[Tuple[Dict, int]] = []
     try:
         while True:
@@ -572,7 +634,9 @@ def _split_frames(
             end = start + length
             if len(buffer) < end:
                 break
-            frames.append((_decode_body(kind, bytes(buffer[start:end])), request_id))
+            frames.append(
+                (_decode_body(kind, bytes(buffer[start:end]), forward), request_id)
+            )
             pos = end
     except BinaryFrameError as exc:
         return frames, pos, exc
@@ -602,7 +666,9 @@ class BinaryFrameReader:
     ``None`` on a clean EOF at a frame boundary.  :meth:`feed` is the
     half an event loop uses: it takes one received chunk and returns the
     frames it completed.  The receive buffer is a ``bytearray`` consumed
-    by offset — O(bytes), not O(frames²), under pipelining.
+    by offset — O(bytes), not O(frames²), under pipelining.  Solve
+    frames come out forwarded, ``{"id", "packed"}`` (see the module
+    docstring); every other kind decoded.
     """
 
     def __init__(self, sock: socket.socket):
@@ -621,7 +687,7 @@ class BinaryFrameReader:
         self.bytes_read += len(chunk)
         buffer = self._buffer
         buffer += chunk
-        frames, pos, error = _split_frames(buffer, self._pos)
+        frames, pos, error = _split_frames(buffer, self._pos, True)
         if pos == len(buffer):
             buffer.clear()
             pos = 0

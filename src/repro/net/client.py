@@ -44,7 +44,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.net.binary import BinaryFrameReader, FrameError, encode_binary_frame
 from repro.net.worker import ERROR_WORKER_RESTARTED
 from repro.service.codec import request_to_payload, response_from_dict
@@ -73,6 +73,16 @@ class NetTimeout(NetError):
 
 class NetAuthError(NetError):
     """The server refused this client's shared-secret handshake."""
+
+
+def _check_payloads(payloads: Sequence[object]) -> None:
+    """Refuse a payload the wire cannot frame before a connection is
+    taken: only a dict travels (as a packed or a JSON body)."""
+    for payload in payloads:
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"a request payload must be a dict, got {type(payload).__name__}"
+            )
 
 
 class _Conn:
@@ -299,8 +309,11 @@ class NetClient:
         :class:`NetConnectionError` once the retry budget is spent.
         Transport failures and (with ``retry_restarts``) in-band
         ``worker_restarted`` errors spend the *same* budget: ``retries``
-        re-sends total, however the failures interleave.
+        re-sends total, however the failures interleave.  A payload that
+        is not a dict raises :class:`~repro.exceptions.ConfigurationError`
+        before any connection is taken.
         """
+        _check_payloads([payload])
         deadline = self._clock() + (
             self.timeout_s if timeout_s is None else float(timeout_s)
         )
@@ -380,8 +393,11 @@ class NetClient:
         the server finished them — each is matched to its request by the
         echoed frame request id.  No retry policy applies — a transport failure
         mid-burst raises, because the burst's position in the stream is
-        ambiguous.  One deadline covers the whole burst.
+        ambiguous.  One deadline covers the whole burst.  A payload that
+        is not a dict raises :class:`~repro.exceptions.ConfigurationError`
+        before any connection is taken.
         """
+        _check_payloads(payloads)
         if not payloads:
             return []
         deadline = self._clock() + (

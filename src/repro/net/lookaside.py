@@ -69,7 +69,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.net.binary import decode_forwarded
 from repro.obs.registry import MetricsRegistry
+from repro.service.codec import read_problem
 from repro.service.fingerprint import (
     parameter_vector,
     problem_fingerprint,
@@ -155,29 +157,16 @@ def params_from_payload(payload: Dict) -> Optional[np.ndarray]:
     :class:`~repro.core.model.FileAllocationProblem`.
 
     Byte-compatible with :func:`~repro.service.fingerprint.parameter_vector`
-    on the parsed problem (same concatenation, float64 throughout), which
-    is what lets the server rank donors for a binary-codec payload it
-    never parses.  ``None`` when the payload is a topology shorthand or
-    malformed — those simply get no hint.
+    on the parsed problem (the codec's :func:`~repro.service.codec.read_problem`
+    reads the arrays), which is what lets the server rank donors for a
+    binary-codec payload it never parses; a forwarded packed body is
+    read as its decoded payload.  ``None`` when the payload is a topology
+    shorthand or malformed — those simply get no hint.
     """
-    problem = payload.get("problem")
-    if not isinstance(problem, dict):
+    arrays = read_problem(decode_forwarded(payload).get("problem"))
+    if arrays is None:
         return None
-    rates = problem.get("access_rates")
-    mu = problem.get("mu")
-    if rates is None or mu is None:
-        return None
-    try:
-        rates = np.asarray(rates, dtype=float).ravel()
-        mu = np.asarray(mu, dtype=float).ravel()
-        k = float(problem.get("k", 1.0))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if mu.size == 1 and rates.size > 1:
-        mu = np.full(rates.size, mu[0])
-    if mu.size != rates.size or rates.size == 0:
-        return None
-    return np.concatenate([rates, mu, [k]])
+    return np.concatenate([arrays.rates, arrays.mu, [arrays.k]])
 
 
 class LookasideTier:

@@ -10,7 +10,9 @@ network's identity off the decoded payload without building the problem
 
 * a cost matrix keys on its structural key — a packed ``ndarray`` and a
   JSON list give the same float64 bytes, and both equal
-  :func:`~repro.service.fingerprint.structural_key` of the built problem;
+  :func:`~repro.service.fingerprint.structural_key` of the built problem.
+  A solve the event loop forwarded packed keys on its body's cost-matrix
+  slice (:func:`~repro.net.binary.forwarded_cost`), the same bytes;
 * a named topology keys on ``(topology, nodes)`` only, so its rate,
   ``mu`` and ``k`` variants share a shard;
 * anything else has no key and goes to shard 0, where the worker's
@@ -22,6 +24,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
+from repro.net.binary import forwarded_cost
+from repro.service.codec import WIRE_DEFAULTS
 from repro.service.fingerprint import structural_key_from_matrix
 
 __all__ = ["routing_key", "shard_for", "shard_of_key"]
@@ -30,6 +34,9 @@ __all__ = ["routing_key", "shard_for", "shard_of_key"]
 def routing_key(payload: Dict) -> Optional[str]:
     """The hex digest a solve payload routes on, or ``None`` when it
     names no network."""
+    cost = forwarded_cost(payload)
+    if cost is not None:
+        return structural_key_from_matrix(cost)
     spec = payload.get("problem")
     if not isinstance(spec, dict):
         return None
@@ -39,7 +46,10 @@ def routing_key(payload: Dict) -> Optional[str]:
         except (KeyError, TypeError, ValueError, OverflowError):
             return None
     # The same defaults the codec applies to a named topology.
-    named = repr((spec.get("topology", "ring"), spec.get("nodes", 4)))
+    named = repr((
+        spec.get("topology", WIRE_DEFAULTS["topology"]),
+        spec.get("nodes", WIRE_DEFAULTS["nodes"]),
+    ))
     return hashlib.sha256(b"repro.fap.topology.v1:" + named.encode()).hexdigest()
 
 

@@ -13,8 +13,10 @@ in-process library into something real clients connect to:
   inside the same frames); bytes that do not open with
   :data:`~repro.net.binary.BINARY_MAGIC` are refused in-band at once;
 * :func:`~repro.net.router.shard_for` routes each request to a
-  **shard** by the network it names, read off the decoded frame (the
-  loop never parses a request), each shard a *bounded* FIFO queue
+  **shard** by the network it names, read off the frame (the loop never
+  parses a request, and keeps a packed solve body packed: it reads the
+  header, the id and the cost-matrix slice, and the worker decodes the
+  body once), each shard a *bounded* FIFO queue
   owned by one dispatch thread and served by one **worker process**
   (:mod:`repro.net.worker`) running its own
   :class:`~repro.service.AllocationService` with its own cache — so

@@ -7,8 +7,11 @@ server's :class:`~repro.service.ServiceConfig`, and answers messages on a
 duplex pipe from the server:
 
 * ``("solve", [payload, ...])`` → ``("results", [response_dict, ...])``
-  — :meth:`~repro.service.AllocationService.solve_payloads`: parse each
-  wire-format payload, solve the parseable ones **as one group** (so the
+  — decode each solve the event loop forwarded packed
+  (:func:`~repro.net.binary.decode_forwarded`), then
+  :meth:`~repro.service.AllocationService.solve_payloads`: answer exact
+  repeats from the cache, parse the rest, solve the parseable ones
+  **as one group** (so the
   worker's micro-batcher sees them together), and return responses in
   input order with per-payload parse errors slotted in place.  With the
   lookaside tier enabled the solve message grows a
@@ -39,8 +42,9 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.net.binary import decode_forwarded
 from repro.obs import MetricsRegistry
-from repro.service import ServiceConfig
+from repro.service.settings import ServiceConfig
 
 __all__ = ["WorkerCrashed", "WorkerHandle", "worker_main"]
 
@@ -87,9 +91,11 @@ class _PipeLookaside:
 def solve_payloads(
     service, payloads: List[Dict], hints: Optional[List[object]] = None
 ) -> List[Dict]:
-    """:meth:`~repro.service.AllocationService.solve_payloads`, after
-    loading the server's lookaside donor ``hints`` (aligned with
-    ``payloads``) for a local cache miss to warm-start from."""
+    """:meth:`~repro.service.AllocationService.solve_payloads` of the
+    payloads, forwarded bodies decoded, after loading the server's
+    lookaside donor ``hints`` (aligned with ``payloads``) for a local
+    cache miss to warm-start from."""
+    payloads = [decode_forwarded(p) if isinstance(p, dict) else p for p in payloads]
     if isinstance(service.lookaside, _PipeLookaside):
         service.lookaside.load_hints({
             str(payload.get("id", "")): hint

@@ -38,25 +38,35 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "admission": ["AdmissionController"],
     "batcher": ["ContinuousBatchKey", "MicroBatch", "MicroBatcher", "continuous_batch_key"],
-    "cache": ["CacheEntry", "EVICTION_POLICIES", "SolutionCache"],
+    "cache": ["CacheEntry", "SolutionCache"],
     "codec": [
+        "LeastCostMatrices",
+        "ProblemArrays",
+        "WIRE_DEFAULTS",
         "iter_request_payloads",
         "parse_request",
+        "payload_key",
+        "read_problem",
         "request_to_payload",
         "response_from_dict",
         "safe_parse",
+        "unkeyed_fields",
     ],
     "drift": ["DriftState", "DriftTracker"],
     "fingerprint": [
+        "RequestKey",
+        "key_of_arrays",
         "parameter_distance",
         "parameter_vector",
         "problem_fingerprint",
         "relative_distance",
         "request_fingerprint",
+        "request_key",
         "structural_key",
         "structural_key_from_matrix",
     ],
-    "service": ["AllocationService", "PendingSolve", "ServiceConfig"],
+    "service": ["AllocationService", "PendingSolve"],
+    "settings": ["EVICTION_POLICIES", "ServiceConfig"],
     "types": [
         "AdmissionDecision",
         "CacheLookup",

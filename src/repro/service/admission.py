@@ -69,7 +69,12 @@ class AdmissionController:
         self.default_timeout_s = default_timeout_s
 
     def admit(self, request: SolveRequest, queue_depth: int) -> AdmissionDecision:
-        """Admission check at arrival, against the current queue depth."""
+        """Admission check at arrival, against the current queue depth.
+
+        Only ``request.priority`` (here) and ``request.timeout_s`` (in
+        :meth:`check_deadline`) are read, so the service passes its
+        :class:`~repro.service.service.PendingSolve`, which carries both
+        whether or not its request is parsed yet."""
         if queue_depth >= self.max_queue_depth:
             return AdmissionDecision(
                 admit=False,

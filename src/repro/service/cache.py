@@ -61,18 +61,11 @@ import numpy as np
 from repro.core.model import FileAllocationProblem
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.service.fingerprint import (
-    parameter_vector,
-    relative_distances,
-    request_fingerprint,
-    structural_key,
-)
+from repro.service.fingerprint import RequestKey, relative_distances, request_key
+from repro.service.settings import EVICTION_POLICIES
 from repro.service.types import CacheLookup, SolveRequest
 
-__all__ = ["CacheEntry", "EVICTION_POLICIES", "SolutionCache"]
-
-#: Accepted ``SolutionCache(eviction=...)`` values.
-EVICTION_POLICIES = ("lru", "cost")
+__all__ = ["CacheEntry", "SolutionCache"]
 
 
 @dataclass
@@ -208,6 +201,12 @@ class SolutionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, fingerprint: str) -> bool:
+        """Whether the exact index holds ``fingerprint`` (no side effects:
+        no recency, credit, counter or expiry check — :meth:`lookup` is
+        the probe)."""
+        return fingerprint in self._entries
+
     @property
     def total_bytes(self) -> int:
         """Approximate retained bytes across all live entries."""
@@ -298,18 +297,18 @@ class SolutionCache:
 
     # -- lookup ----------------------------------------------------------------
 
-    def lookup(self, request: SolveRequest) -> CacheLookup:
-        """Probe the cache for ``request``; never runs a solver."""
-        if self.capacity == 0:
+    def lookup(self, key: Optional[RequestKey]) -> CacheLookup:
+        """Probe the cache for the request whose
+        :class:`~repro.service.fingerprint.RequestKey` is ``key``
+        (:func:`~repro.service.fingerprint.request_key`; ``None``, an
+        uncacheable request, is a miss); never runs a solver."""
+        if self.capacity == 0 or key is None:
             self._count("miss")
             return CacheLookup(status="miss")
-        fp = request_fingerprint(request)
-        if fp is None:  # uncacheable problem class
-            self._count("miss")
-            return CacheLookup(status="miss")
+        fp = key.fingerprint
         self._maybe_sweep()
         epoch = (
-            self.drift.observe(request.problem) if self.drift is not None else 0
+            self.drift.observe(key.structure, key.params) if self.drift is not None else 0
         )
         entry = self._entries.get(fp)
         if entry is not None:
@@ -332,7 +331,7 @@ class SolutionCache:
                 self._credit(entry, entry.iterations)
                 self._count("hit")
                 return CacheLookup(status="hit", entry=entry, distance=0.0)
-        donor = self._nearest(request)
+        donor = self._nearest(key)
         if donor is not None:
             entry, distance = donor
             self._count("warm")
@@ -360,8 +359,9 @@ class SolutionCache:
         self._bucket_view[structure] = view
         return view
 
-    def _nearest(self, request: SolveRequest):
-        """The closest same-structure donor within ``max_warm_distance``.
+    def _nearest(self, key: RequestKey):
+        """The closest same-structure donor within ``max_warm_distance``
+        for the request whose key is ``key``.
 
         One vectorized pass over the bucket's precomputed parameter
         matrix — no per-entry array rebuilding, and shape-incompatible
@@ -369,7 +369,7 @@ class SolutionCache:
         the index).  Ties keep the latest-stored candidate, matching the
         sequential ``<=`` scan this replaced bit for bit.
         """
-        structure = structural_key(request.problem)
+        structure = key.structure
         view = self._bucket_arrays(structure)
         if view is None:
             return None
@@ -383,8 +383,8 @@ class SolutionCache:
                 if view is None:
                     return None
                 entries, matrix, stored = view
-        query = parameter_vector(request.problem)
-        if query is None or matrix.shape[1] != query.shape[0]:
+        query = key.params
+        if matrix.shape[1] != query.shape[0]:
             return None
         distances = relative_distances(matrix, query)
         best = float(distances.min())
@@ -397,8 +397,13 @@ class SolutionCache:
 
     # -- store -----------------------------------------------------------------
 
-    def store(self, request: SolveRequest, result) -> Optional[CacheEntry]:
-        """Record a finished solve (an ``AllocationResult``-shaped object).
+    def store(
+        self, request: SolveRequest, result, key: Optional[RequestKey] = None
+    ) -> Optional[CacheEntry]:
+        """Record a finished solve (an ``AllocationResult``-shaped object)
+        of ``request``, whose :class:`~repro.service.fingerprint.RequestKey`
+        is ``key`` when the caller has it already (computed here
+        otherwise).
 
         Only converged solves are stored — a budget-capped iterate is not
         a solution and must not warm-start (let alone answer) anything.
@@ -406,16 +411,17 @@ class SolutionCache:
         """
         if self.capacity == 0 or not result.converged:
             return None
-        fp = request_fingerprint(request)
-        if fp is None:
+        if key is None:
+            key = request_key(request)
+        if key is None:
             return None
+        fp, structure, params = key.fingerprint, key.structure, key.params
         self._maybe_sweep()
-        params = parameter_vector(request.problem)
         allocation = np.array(result.allocation, dtype=float, copy=True)
         now = self.clock()
         entry = CacheEntry(
             fingerprint=fp,
-            structure=structural_key(request.problem),
+            structure=structure,
             problem=request.problem,
             allocation=allocation,
             cost=float(result.cost),
@@ -425,14 +431,10 @@ class SolutionCache:
             params=params,
             nbytes=int(
                 allocation.nbytes
-                + (params.nbytes if params is not None else 0)
+                + params.nbytes
                 + request.problem.cost_matrix.nbytes
             ),
-            epoch=(
-                self.drift.epoch_of(structural_key(request.problem))
-                if self.drift is not None
-                else 0
-            ),
+            epoch=self.drift.epoch_of(structure) if self.drift is not None else 0,
             # Seed the value with the entry's own solve cost: what its
             # first exact hit would save.  Costlier solves are worth
             # more shelf space from the moment they land.

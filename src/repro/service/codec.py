@@ -21,12 +21,22 @@ objects.  Malformed payloads raise
 :class:`~repro.exceptions.ConfigurationError` with a message naming the
 offending field — the CLI turns those into ``{"status": "error"}``
 lines instead of dying mid-stream.
+
+A field left out takes its :data:`WIRE_DEFAULTS` value.  Two readers
+apply them: :func:`parse_request` builds and validates the request, and
+:func:`payload_key` computes the cache key the built request would have
+straight from the payload's arrays (:func:`read_problem`), so a cache
+can recognise a repeat before anything is built.  A named topology's
+least-cost matrix can be kept between requests in a
+:class:`LeastCostMatrices`, so neither reader runs the all-pairs search
+twice for one ``(topology, nodes)``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, Iterator
+from collections import OrderedDict
+from typing import IO, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,15 +48,41 @@ from repro.core.initials import (
 from repro.core.model import FileAllocationProblem
 from repro.exceptions import ConfigurationError, ReproError
 from repro.network import builders
-from repro.service.types import SolveRequest, SolveResponse
+from repro.network.shortest_paths import all_pairs_shortest_paths
+from repro.service.fingerprint import RequestKey, key_of_arrays
+from repro.service.types import SolveRequest, SolveResponse, _next_request_id
+from repro.utils.validation import check_positive
 
 __all__ = [
+    "LeastCostMatrices",
+    "ProblemArrays",
+    "WIRE_DEFAULTS",
     "parse_request",
+    "payload_key",
+    "read_problem",
     "request_to_payload",
     "response_from_dict",
     "iter_request_payloads",
     "safe_parse",
+    "unkeyed_fields",
 ]
+
+#: The value a request field takes when the payload leaves it out — one
+#: table for every reader of a payload.  ``topology``, ``nodes``, ``rate``
+#: and ``mu`` apply to a named topology; a raw-matrix spec must carry its
+#: own ``mu``.
+WIRE_DEFAULTS = {
+    "alpha": 0.3,
+    "epsilon": 1e-3,
+    "max_iterations": 10_000,
+    "start": "uniform",
+    "priority": 0,
+    "k": 1.0,
+    "topology": "ring",
+    "nodes": 4,
+    "rate": 1.0,
+    "mu": 1.5,
+}
 
 _TOPOLOGIES = {
     "ring": builders.ring_graph,
@@ -62,15 +98,67 @@ _NAMED_STARTS = {
 }
 
 
-def _parse_problem(spec) -> FileAllocationProblem:
+def _field(mapping: Dict, name: str):
+    """``mapping[name]``, or its :data:`WIRE_DEFAULTS` value."""
+    return mapping.get(name, WIRE_DEFAULTS[name])
+
+
+def _is_named(spec: Dict) -> bool:
+    return "cost_matrix" not in spec and "access_rates" not in spec
+
+
+#: Bytes of least-cost matrices one :class:`LeastCostMatrices` keeps.
+_LEAST_COST_BYTES = 32 * 1024 * 1024
+
+
+class LeastCostMatrices:
+    """Least-cost matrices of named topologies, kept per ``(topology,
+    nodes)`` so a repeat runs no all-pairs search.
+
+    Least recently used matrices go first once the kept bytes pass
+    32 MiB (the most recent one always stays: a 1446-node ``complete``
+    matrix alone is 16.7 MB).  The matrices are read-only; every problem
+    built on one shares it.
+    """
+
+    def __init__(self):
+        self._kept: "OrderedDict[Tuple[str, int], Tuple[np.ndarray, str]]" = OrderedDict()
+        self._bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def get(self, family: str, nodes: int) -> Optional[Tuple[np.ndarray, str]]:
+        """``(matrix, topology name)`` if kept, else ``None`` (never builds)."""
+        kept = self._kept.get((family, nodes))
+        if kept is not None:
+            self._kept.move_to_end((family, nodes))
+        return kept
+
+    def build(self, family: str, nodes: int) -> Tuple[np.ndarray, str]:
+        """``(matrix, topology name)``, built and kept on first use."""
+        kept = self.get(family, nodes)
+        if kept is None:
+            topology = _TOPOLOGIES[family](nodes)
+            matrix = all_pairs_shortest_paths(topology)
+            matrix.setflags(write=False)
+            kept = self._kept[(family, nodes)] = (matrix, topology.name)
+            self._bytes += matrix.nbytes
+            while self._bytes > _LEAST_COST_BYTES and len(self._kept) > 1:
+                _, (old, _name) = self._kept.popitem(last=False)
+                self._bytes -= old.nbytes
+        return kept
+
+
+def _parse_problem(spec, least_costs: LeastCostMatrices) -> FileAllocationProblem:
     if not isinstance(spec, dict):
         raise ConfigurationError("request field 'problem' must be an object")
-    if "cost_matrix" in spec or "access_rates" in spec:
+    if not _is_named(spec):
         try:
             return FileAllocationProblem(
                 spec["cost_matrix"],
                 spec["access_rates"],
-                k=float(spec.get("k", 1.0)),
+                k=float(_field(spec, "k")),
                 mu=spec.get("mu"),
                 name=str(spec.get("name", "")),
             )
@@ -78,12 +166,12 @@ def _parse_problem(spec) -> FileAllocationProblem:
             raise ConfigurationError(
                 f"raw problem spec is missing field {missing}"
             ) from None
-    family = spec.get("topology", "ring")
+    family = _field(spec, "topology")
     if family not in _TOPOLOGIES:
         raise ConfigurationError(
             f"unknown topology {family!r} (expected one of {sorted(_TOPOLOGIES)})"
         )
-    nodes = int(spec.get("nodes", 4))
+    nodes = int(_field(spec, "nodes"))
     from repro.net.binary import MAX_PACKED_NODES  # repro.net imports this module
 
     if nodes > MAX_PACKED_NODES:
@@ -91,23 +179,32 @@ def _parse_problem(spec) -> FileAllocationProblem:
             f"topology nodes={nodes} exceeds {MAX_PACKED_NODES}, the largest network one "
             "request frame can carry"
         )
-    rate = float(spec.get("rate", 1.0))
-    return FileAllocationProblem.from_topology(
-        _TOPOLOGIES[family](nodes),
+    rate = float(_field(spec, "rate"))
+    matrix, name = least_costs.build(family, nodes)
+    return FileAllocationProblem(
+        matrix,
         np.full(nodes, rate / nodes),
-        k=float(spec.get("k", 1.0)),
-        mu=float(spec.get("mu", 1.5)),
+        k=float(_field(spec, "k")),
+        mu=float(_field(spec, "mu")),
+        name=name,
     )
 
 
-def parse_request(payload: Dict) -> SolveRequest:
-    """One wire-format dict into a validated :class:`SolveRequest`."""
+def parse_request(
+    payload: Dict, least_costs: Optional[LeastCostMatrices] = None
+) -> SolveRequest:
+    """One wire-format dict into a validated :class:`SolveRequest`.
+
+    A named topology's least-cost matrix comes from ``least_costs`` (and
+    is kept there); without one it is searched for this request alone."""
     if not isinstance(payload, dict):
         raise ConfigurationError("each request must be a JSON object")
     if "problem" not in payload:
         raise ConfigurationError("request is missing the 'problem' field")
-    problem = _parse_problem(payload["problem"])
-    start = payload.get("start", "uniform")
+    problem = _parse_problem(
+        payload["problem"], least_costs if least_costs is not None else LeastCostMatrices()
+    )
+    start = _field(payload, "start")
     if isinstance(start, str):
         if start not in _NAMED_STARTS:
             raise ConfigurationError(
@@ -120,14 +217,112 @@ def parse_request(payload: Dict) -> SolveRequest:
     timeout_s = payload.get("timeout_s")
     return SolveRequest(
         problem=problem,
-        alpha=float(payload.get("alpha", 0.3)),
-        epsilon=float(payload.get("epsilon", 1e-3)),
-        max_iterations=int(payload.get("max_iterations", 10_000)),
+        alpha=float(_field(payload, "alpha")),
+        epsilon=float(_field(payload, "epsilon")),
+        max_iterations=int(_field(payload, "max_iterations")),
         initial_allocation=initial,
         request_id=str(payload.get("id", "")),
         timeout_s=None if timeout_s is None else float(timeout_s),
-        priority=int(payload.get("priority", 0)),
+        priority=int(_field(payload, "priority")),
     )
+
+
+def unkeyed_fields(payload: Dict) -> Tuple[str, Optional[float], int]:
+    """``(id, timeout_s, priority)`` — the request fields
+    :func:`payload_key` does not cover — as the parsed request would
+    hold them: converted and checked as :func:`parse_request` and
+    :class:`SolveRequest` check them, raising where they would, and an
+    empty id replaced by the next automatic one (only once both checks
+    pass)."""
+    timeout_s = payload.get("timeout_s")
+    if timeout_s is not None:
+        timeout_s = check_positive(float(timeout_s), "timeout_s")
+    priority = int(_field(payload, "priority"))
+    return str(payload.get("id", "")) or _next_request_id(), timeout_s, priority
+
+
+class ProblemArrays(NamedTuple):
+    """A problem spec's float64 arrays as the built problem holds them."""
+
+    cost: np.ndarray
+    rates: np.ndarray
+    mu: np.ndarray  #: broadcast to one rate per node
+    k: float
+
+
+def read_problem(
+    spec, least_costs: Optional[LeastCostMatrices] = None
+) -> Optional[ProblemArrays]:
+    """The arrays :func:`parse_request` would build ``spec`` from, read
+    without building the problem, or ``None`` when a field cannot be
+    read or has the wrong shape.
+
+    Values are not validated (that is the parse's job).  A named topology
+    reads only when ``least_costs`` keeps its matrix."""
+    if not isinstance(spec, dict):
+        return None
+    try:
+        if not _is_named(spec):
+            cost = np.asarray(spec["cost_matrix"], dtype=float)
+            rates = np.asarray(spec["access_rates"], dtype=float)
+            k = float(_field(spec, "k"))
+            mu = spec.get("mu")
+        else:
+            kept = None if least_costs is None else least_costs.get(
+                _field(spec, "topology"), int(_field(spec, "nodes"))
+            )
+            if kept is None:
+                return None
+            cost = kept[0]
+            nodes = cost.shape[0]
+            rates = np.full(nodes, float(_field(spec, "rate")) / nodes)
+            k = float(_field(spec, "k"))
+            mu = float(_field(spec, "mu"))
+        if mu is None or rates.ndim != 1 or rates.shape[0] < 2:
+            return None
+        n = rates.shape[0]
+        mu = np.asarray(mu, dtype=float)
+        if mu.ndim > 1 or mu.size not in (1, n):
+            return None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if mu.size == 1:
+        mu = np.full(n, mu.reshape(-1)[0])
+    return ProblemArrays(cost, rates, mu, k)
+
+
+def payload_key(
+    payload, least_costs: Optional[LeastCostMatrices] = None
+) -> Optional[RequestKey]:
+    """The :class:`~repro.service.fingerprint.RequestKey` that
+    :func:`~repro.service.fingerprint.request_key` gives
+    ``parse_request(payload)``, computed from the payload's own arrays
+    (the codec's defaults applied, a named start expanded from ``n``), or
+    ``None`` when it cannot be read.
+
+    It does not validate: a key equal to a cached request's means the
+    payload describes that request's bytes, and those parsed before."""
+    if not isinstance(payload, dict) or "problem" not in payload:
+        return None
+    arrays = read_problem(payload["problem"], least_costs)
+    if arrays is None:
+        return None
+    try:
+        start = _field(payload, "start")
+        if isinstance(start, str):
+            make = _NAMED_STARTS.get(start)
+            if make is None:
+                return None
+            start = make(arrays.rates.shape[0])
+        return key_of_arrays(
+            *arrays,
+            float(_field(payload, "alpha")),
+            float(_field(payload, "epsilon")),
+            int(_field(payload, "max_iterations")),
+            np.asarray(start, dtype=float),
+        )
+    except (ReproError, TypeError, ValueError, OverflowError):
+        return None
 
 
 def request_to_payload(request: SolveRequest) -> Dict:
@@ -221,14 +416,14 @@ def iter_request_payloads(stream: IO[str]) -> Iterator[Dict]:
         yield payload
 
 
-def safe_parse(payload: Dict):
+def safe_parse(payload: Dict, least_costs: Optional[LeastCostMatrices] = None):
     """``parse_request`` that returns ``(request, None)`` or ``(None, error_dict)``
     for any JSON value; one that is not an object gets ``id`` ``""``."""
     is_object = isinstance(payload, dict)
     if is_object and payload.get("status") == "error":  # pre-marked by iter_request_payloads
         return None, payload
     try:
-        return parse_request(payload), None
+        return parse_request(payload, least_costs), None
     except (ReproError, TypeError, ValueError, OverflowError) as exc:
         return None, {
             "id": str(payload.get("id", "")) if is_object else "",

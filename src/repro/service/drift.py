@@ -43,14 +43,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.model import FileAllocationProblem
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.service.fingerprint import (
-    parameter_vector,
-    relative_distance,
-    structural_key,
-)
+from repro.service.fingerprint import relative_distance
 from repro.utils.validation import check_positive
 
 __all__ = ["DriftState", "DriftTracker"]
@@ -109,16 +104,16 @@ class DriftTracker:
     def __len__(self) -> int:
         return len(self._states)
 
-    def observe(self, problem: FileAllocationProblem) -> int:
-        """Fold one request's parameters into its structure's estimate.
+    def observe(self, key: str, params: np.ndarray) -> int:
+        """Fold one request's parameter vector ``params`` into the
+        estimate of its structure ``key``
+        (:func:`~repro.service.fingerprint.parameter_vector` and
+        :func:`~repro.service.fingerprint.structural_key` of its problem;
+        the cache probe passes both from the request's
+        :class:`~repro.service.fingerprint.RequestKey`).
 
-        Returns the structure's (possibly just-advanced) epoch.  Non-
-        M/M/1 problems are uncacheable and therefore unobserved: epoch 0.
+        Returns the structure's (possibly just-advanced) epoch.
         """
-        params = parameter_vector(problem)
-        if params is None:
-            return 0
-        key = structural_key(problem)
         state = self._states.get(key)
         if state is None or state.estimate.shape != params.shape:
             state = DriftState(estimate=params.copy(), reference=params.copy())

@@ -17,6 +17,12 @@ The solution cache needs two notions of "the same problem":
   from the closest converged allocation (PR 3's continuation machinery,
   now fed by the cache instead of a sweep's neighbor).
 
+:func:`request_key` bundles the three identities a cache probe needs
+(fingerprint, structural key, parameter vector) as a :class:`RequestKey`.
+:func:`key_of_arrays` computes it from the float64 arrays alone, which is
+what lets :func:`~repro.service.codec.payload_key` key a wire payload
+without building its problem: both go through the same hashing code.
+
 Hashes cover raw float64 bytes, not reprs — ``0.1 + 0.2`` and ``0.3``
 fingerprint differently, exactly as they would solve differently.  Only
 pure analytic M/M/1 problems are fingerprintable (the same restriction as
@@ -34,6 +40,9 @@ import numpy as np
 from repro.core.model import FileAllocationProblem
 
 __all__ = [
+    "RequestKey",
+    "key_of_arrays",
+    "request_key",
     "problem_fingerprint",
     "request_fingerprint",
     "structural_key",
@@ -47,9 +56,65 @@ __all__ = [
 
 def _update(h, *arrays) -> None:
     for arr in arrays:
-        a = np.ascontiguousarray(np.asarray(arr, dtype=float))
+        a = np.ascontiguousarray(arr, dtype=float)
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(a)  # the C-order bytes, as ``a.tobytes()`` without the copy
+
+
+def _problem_digest(cost, rates, mu, k) -> str:
+    h = hashlib.sha256(b"repro.fap.v1:")
+    _update(h, cost, rates, mu, [k])
+    return h.hexdigest()
+
+
+def _request_digest(base: str, alpha, epsilon, max_iterations, start) -> str:
+    h = hashlib.sha256(base.encode())
+    _update(h, [alpha, epsilon, float(max_iterations)], start)
+    return h.hexdigest()
+
+
+class RequestKey:
+    """What a cache probe needs of one request: its
+    :func:`request_fingerprint` (the exact index), its
+    :func:`structural_key` (the donor bucket and the drift estimate) and
+    its :func:`parameter_vector` (donor distance and drift).  The last
+    two are computed on first use: an exact hit without a drift tracker
+    needs neither."""
+
+    __slots__ = ("fingerprint", "_cost", "_parts", "_structure", "_params")
+
+    def __init__(self, fingerprint: str, cost, rates, mu, k):
+        self.fingerprint = fingerprint
+        self._cost = cost
+        self._parts = (rates, mu, [k])
+        self._structure: Optional[str] = None
+        self._params: Optional[np.ndarray] = None
+
+    @property
+    def structure(self) -> str:
+        if self._structure is None:
+            self._structure = structural_key_from_matrix(self._cost)
+        return self._structure
+
+    @property
+    def params(self) -> np.ndarray:
+        if self._params is None:
+            self._params = np.concatenate(self._parts).astype(float, copy=False)
+        return self._params
+
+
+def key_of_arrays(
+    cost, rates, mu, k, alpha, epsilon, max_iterations, start
+) -> RequestKey:
+    """The :class:`RequestKey` of the request these values describe: the
+    cost matrix, the access rates, the service rates broadcast to ``n``,
+    ``k``, the solver options and the starting allocation, as float64
+    arrays the way the built request holds them.  :func:`request_key` of
+    that request is this, byte for byte."""
+    base = _problem_digest(cost, rates, mu, k)
+    return RequestKey(
+        _request_digest(base, alpha, epsilon, max_iterations, start), cost, rates, mu, k
+    )
 
 
 def problem_fingerprint(problem: FileAllocationProblem) -> Optional[str]:
@@ -61,15 +126,9 @@ def problem_fingerprint(problem: FileAllocationProblem) -> Optional[str]:
     """
     if not problem.has_vectorized_evaluate:
         return None
-    h = hashlib.sha256(b"repro.fap.v1:")
-    _update(
-        h,
-        problem.cost_matrix,
-        problem.access_rates,
-        problem.mm1_service_rates(),
-        [problem.k],
+    return _problem_digest(
+        problem.cost_matrix, problem.access_rates, problem.mm1_service_rates(), problem.k
     )
-    return h.hexdigest()
 
 
 def request_fingerprint(request) -> Optional[str]:
@@ -82,13 +141,22 @@ def request_fingerprint(request) -> Optional[str]:
     base = problem_fingerprint(request.problem)
     if base is None:
         return None
-    h = hashlib.sha256(base.encode())
-    _update(
-        h,
-        [request.alpha, request.epsilon, float(request.max_iterations)],
+    return _request_digest(
+        base, request.alpha, request.epsilon, request.max_iterations,
         request.initial_allocation,
     )
-    return h.hexdigest()
+
+
+def request_key(request) -> Optional[RequestKey]:
+    """:class:`RequestKey` of a built request (``None`` when the problem
+    is not pure M/M/1, so uncacheable)."""
+    problem = request.problem
+    if not problem.has_vectorized_evaluate:
+        return None
+    return key_of_arrays(
+        problem.cost_matrix, problem.access_rates, problem.mm1_service_rates(), problem.k,
+        request.alpha, request.epsilon, request.max_iterations, request.initial_allocation,
+    )
 
 
 def structural_key(problem: FileAllocationProblem) -> str:

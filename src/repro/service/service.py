@@ -19,7 +19,7 @@ everything the earlier layers provide:
   service's operational story: queue depth, batch occupancy,
   hit/warm/miss counts, a latency histogram.
 
-:meth:`ServiceConfig.build` composes a service from its nine settings;
+:meth:`~repro.service.ServiceConfig.build` composes a service from its nine settings;
 JSON payloads enter through one door, :meth:`~AllocationService.solve_payloads`.
 
 Because every dispatch path is bit-for-bit equivalent to the serial
@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,8 +64,14 @@ from repro.service.batcher import (
     continuous_batch_key,
 )
 from repro.service.cache import SolutionCache
-from repro.service.codec import safe_parse
-from repro.service.drift import DriftTracker
+from repro.service.codec import (
+    LeastCostMatrices,
+    parse_request,
+    payload_key,
+    safe_parse,
+    unkeyed_fields,
+)
+from repro.service.fingerprint import RequestKey, request_key
 from repro.service.types import (
     REJECT_SHUTDOWN,
     REJECT_SOLVER_ERROR,
@@ -73,7 +79,7 @@ from repro.service.types import (
     SolveResponse,
 )
 
-__all__ = ["AllocationService", "PendingSolve", "ServiceConfig"]
+__all__ = ["AllocationService", "PendingSolve"]
 
 
 class PendingSolve:
@@ -81,11 +87,36 @@ class PendingSolve:
 
     Rejected-at-submit requests come back already resolved, so callers
     can treat every ticket uniformly.
+
+    :attr:`key` is the request's cache key
+    (:class:`~repro.service.fingerprint.RequestKey`) once known.  A
+    ticket made from a wire ``payload`` whose key is in the cache's
+    exact index (:meth:`AllocationService.solve_payloads` makes those)
+    leaves :attr:`request` ``None``: the pump parses the payload only if
+    the cache cannot answer it after all.  Its id, ``timeout_s`` and
+    ``priority`` — what admission reads — are read from the payload at
+    once (:func:`~repro.service.codec.unkeyed_fields`, which raises on a
+    bad one).
     """
 
-    def __init__(self, request: SolveRequest, submitted_at: float):
+    def __init__(
+        self,
+        request: Optional[SolveRequest],
+        *,
+        key: Optional[RequestKey] = None,
+        payload: Optional[Dict] = None,
+    ):
         self.request = request
-        self.submitted_at = submitted_at
+        self.key = key
+        #: The wire payload of a ticket whose request is not parsed yet.
+        self.payload = payload
+        if request is not None:
+            self.request_id = request.request_id
+            self.timeout_s, self.priority = request.timeout_s, request.priority
+        else:
+            self.request_id, self.timeout_s, self.priority = unkeyed_fields(payload)
+        #: Clock reading at submission.
+        self.submitted_at = 0.0
         #: Cache disposition attached during the pump
         #: ("hit"/"warm"/"lookaside"/"miss").
         self.cache_status = "miss"
@@ -121,7 +152,7 @@ class PendingSolve:
         """Block until resolved; raises ``TimeoutError`` on expiry."""
         if not self._event.wait(timeout):
             raise TimeoutError(
-                f"request {self.request.request_id!r} not resolved within {timeout}s"
+                f"request {self.request_id!r} not resolved within {timeout}s"
             )
         assert self._response is not None
         return self._response
@@ -132,7 +163,7 @@ class PendingSolve:
 
     def __repr__(self) -> str:
         state = "done" if self.done() else "pending"
-        return f"PendingSolve(id={self.request.request_id!r}, {state})"
+        return f"PendingSolve(id={self.request_id!r}, {state})"
 
 
 class AllocationService:
@@ -152,7 +183,7 @@ class AllocationService:
     cache:
         The :class:`~repro.service.cache.SolutionCache` to answer repeats
         from, or ``None`` for a default one that reports to ``registry``.
-        :meth:`ServiceConfig.build` builds one from settings.
+        :meth:`~repro.service.ServiceConfig.build` builds one from settings.
     lookaside:
         Optional cross-shard donor tier — any object with
         ``get(request) -> Optional[np.ndarray]`` and
@@ -190,6 +221,8 @@ class AllocationService:
             cache if cache is not None else SolutionCache(registry=registry, clock=clock)
         )
         self.lookaside = lookaside
+        #: Named topologies' least-cost matrices, kept across requests.
+        self.least_costs = LeastCostMatrices()
         self._pending: List[PendingSolve] = []
         #: Every ticket the running pump took off the queue, mid-flight
         #: claims included: the ones a failed dispatch leaves unanswered.
@@ -203,12 +236,14 @@ class AllocationService:
 
     def submit(self, request: SolveRequest) -> PendingSolve:
         """Admit (or reject) one request; returns its ticket immediately."""
-        now = self.clock()
-        ticket = PendingSolve(request, now)
+        return self._enqueue(PendingSolve(request))
+
+    def _enqueue(self, ticket: PendingSolve) -> PendingSolve:
+        ticket.submitted_at = self.clock()
         if self.registry is not None:
             self.registry.counter_inc("service.requests")
         with self._cond:
-            decision = self.admission.admit(request, len(self._pending))
+            decision = self.admission.admit(ticket, len(self._pending))
             if decision:
                 self._pending.append(ticket)
                 self._gauge_depth_locked()
@@ -242,15 +277,35 @@ class AllocationService:
         A payload that does not parse is answered in place with an error
         dict; the rest are submitted as one group and pumped (synchronous
         mode).  A dispatch that raises becomes an error dict on each
-        request it left unanswered."""
+        request it left unanswered.
+
+        Each payload's cache key is computed from the payload
+        (:func:`~repro.service.codec.payload_key`).  An exact repeat — a
+        key in the cache's exact index — is queued unparsed: it meets
+        every decision a parsed request meets (admission, deadline, TTL,
+        drift, recency, hit credit, metrics), and the pump parses it only
+        if its probe does not hit.  Every other payload is parsed on
+        arrival and keeps its key, so neither its probe nor the store of
+        its cold solve hashes it again."""
         slots: List[Optional[Dict]] = [None] * len(payloads)
         tickets: List[Tuple[int, PendingSolve]] = []
+        hashing = self._thread is None and self.cache.capacity > 0
         for i, payload in enumerate(payloads):
-            request, error = safe_parse(payload)
-            if error is not None:
-                slots[i] = error
-                continue
-            tickets.append((i, self.submit(request)))
+            key = ticket = None
+            if hashing and isinstance(payload, dict) and payload.get("status") != "error":
+                key = payload_key(payload, self.least_costs)
+                if key is not None and key.fingerprint in self.cache:
+                    try:
+                        ticket = PendingSolve(None, key=key, payload=payload)
+                    except (ReproError, TypeError, ValueError, OverflowError):
+                        pass  # a bad id, timeout_s or priority: the parse answers it
+            if ticket is None:
+                request, error = safe_parse(payload, self.least_costs)
+                if error is not None:
+                    slots[i] = error
+                    continue
+                ticket = PendingSolve(request, key=key)
+            tickets.append((i, self._enqueue(ticket)))
         failure = "dispatch failed: the service left the request unresolved"
         try:
             if any(not ticket.done() for _, ticket in tickets):
@@ -261,11 +316,7 @@ class AllocationService:
             if ticket.done():
                 slots[i] = ticket.response.as_dict()
             else:
-                slots[i] = {
-                    "id": ticket.request.request_id,
-                    "status": "error",
-                    "detail": failure,
-                }
+                slots[i] = {"id": ticket.request_id, "status": "error", "detail": failure}
         return slots  # type: ignore[return-value]
 
     # -- the dispatch loop -----------------------------------------------------
@@ -299,7 +350,7 @@ class AllocationService:
         resolved = 0
         to_solve: List[PendingSolve] = []
         for item in items:
-            verdict = self.admission.check_deadline(item.request, now - item.submitted_at)
+            verdict = self.admission.check_deadline(item, now - item.submitted_at)
             if not verdict:
                 self._reject(
                     item, verdict.reason, verdict.detail,
@@ -307,7 +358,9 @@ class AllocationService:
                 )
                 resolved += 1
                 continue
-            lookup = self.cache.lookup(item.request)
+            if item.key is None and self.cache.capacity:  # an unused cache needs no hash
+                item.key = request_key(item.request)
+            lookup = self.cache.lookup(item.key)
             if lookup.status == "hit":
                 entry = lookup.entry
                 self._complete(
@@ -321,6 +374,10 @@ class AllocationService:
                 )
                 resolved += 1
                 continue
+            if item.request is None:  # a repeat the cache cannot answer after all
+                item.request = parse_request(
+                    {**item.payload, "id": item.request_id}, self.least_costs
+                )
             item.cache_status = lookup.status
             if lookup.status == "warm":
                 item.warm_allocation = lookup.entry.allocation.copy()
@@ -468,7 +525,9 @@ class AllocationService:
         )
 
     def _finish_solved(self, item: PendingSolve, result, *, batch_size: int) -> None:
-        self.cache.store(item.effective_request, result)
+        # A warm start changed the start, so the stored request's key too.
+        key = item.key if item.warm_allocation is None else None
+        self.cache.store(item.effective_request, result, key)
         if item.warm_donor_fp is not None:
             # Credit the donor with the iterations its warm start saved
             # (its own solve cost stands in for the cold solve avoided).
@@ -495,7 +554,7 @@ class AllocationService:
     def _complete(self, item: PendingSolve, **fields) -> None:
         latency = self.clock() - item.submitted_at
         response = SolveResponse(
-            request_id=item.request.request_id,
+            request_id=item.request_id,
             status="ok",
             latency_s=latency,
             **fields,
@@ -512,9 +571,7 @@ class AllocationService:
             self.registry.counter_inc("service.rejected")
             self.registry.counter_inc(f"service.rejected.{reason}")
             self.registry.event("service_reject", reason=reason)
-        item._resolve(
-            SolveResponse.rejection(item.request, reason, detail, latency_s=latency_s)
-        )
+        item._resolve(SolveResponse.rejection(item, reason, detail, latency_s=latency_s))
 
     # -- observability ---------------------------------------------------------
 
@@ -617,46 +674,4 @@ class AllocationService:
         return (
             f"AllocationService({mode}, max_batch={self.batcher.max_batch}, "
             f"pending={depth}, cache={len(self.cache)})"
-        )
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """The nine settings of an :class:`AllocationService`, declared once.
-
-    ``repro-fap serve`` and every ``net-serve`` worker build their service
-    from one (it is picklable, so it crosses the fork) with :meth:`build`,
-    the one place settings become components.
-    """
-
-    max_batch: int = 32  #: continuous-dispatch slot capacity (1: no grouping)
-    cache_size: int = 256  #: solution-cache capacity (0: no caching)
-    cache_ttl_s: Optional[float] = None  #: cache entry lifetime (``None``: no expiry)
-    cache_eviction: str = "lru"  #: ``"lru"``, or ``"cost"`` (value-weighted)
-    cache_max_bytes: Optional[int] = None  #: byte budget of the cache (``None``: none)
-    drift_threshold: Optional[float] = None  #: drift that demotes a hit (``None``: off)
-    drift_window: int = 16  #: EMA window of the drift tracker's estimate
-    queue_depth: int = 1024  #: admission bound on pending requests
-    default_timeout_s: Optional[float] = None  #: deadline of a request setting none
-
-    def build(
-        self, *, registry: Optional[MetricsRegistry] = None, lookaside=None
-    ) -> AllocationService:
-        """An :class:`AllocationService` with these settings; its cache and
-        drift tracker report to ``registry`` too."""
-        drift = None
-        if self.drift_threshold is not None:
-            drift = DriftTracker(
-                threshold=self.drift_threshold, window=self.drift_window, registry=registry
-            )
-        cache = SolutionCache(
-            self.cache_size, ttl_s=self.cache_ttl_s, eviction=self.cache_eviction,
-            max_bytes=self.cache_max_bytes, drift=drift, registry=registry,
-        )
-        admission = AdmissionController(
-            max_queue_depth=self.queue_depth, default_timeout_s=self.default_timeout_s
-        )
-        return AllocationService(
-            max_batch=self.max_batch, cache=cache, admission=admission,
-            lookaside=lookaside, registry=registry,
         )

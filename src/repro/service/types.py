@@ -149,6 +149,8 @@ class SolveResponse:
     def rejection(
         cls, request: SolveRequest, reason: str, detail: str, *, latency_s: float = 0.0
     ) -> "SolveResponse":
+        """A rejection of ``request`` (of which only ``request_id`` is
+        read, so a :class:`~repro.service.service.PendingSolve` will do)."""
         return cls(
             request_id=request.request_id,
             status="rejected",

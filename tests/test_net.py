@@ -44,10 +44,12 @@ from repro.net import (
     send_binary_frame,
 )
 from repro.net import binary as wire
-from repro.net.worker import ERROR_WORKER_RESTARTED
+from repro.net.router import routing_key, shard_for
+from repro.net.worker import ERROR_WORKER_RESTARTED, WorkerHandle
 from repro.service import AllocationService, ServiceConfig
 from repro.service import codec
 from repro.service.codec import parse_request, safe_parse
+from repro.service.fingerprint import structural_key
 
 from tests.test_net_unit import raw_frame
 
@@ -168,6 +170,30 @@ class TestRoutingWithoutParsing:
             with NetClient(host, port) as client:
                 reply = client.solve_payload(ring_payload(nodes=6))
         assert reply["status"] == "ok" and reply["id"] == "r0"
+
+    def test_event_loop_forwards_packed_bodies_unopened(self, monkeypatch):
+        """A packed solve reaches the worker pipe as its body bytes, with
+        the id the loop read off it, on the shard its decoded payload
+        routes to."""
+        sent = []
+        roundtrip = WorkerHandle.roundtrip
+
+        def recording(handle, message):
+            if message[0] == "solve":
+                sent.extend((handle.index, item) for item in message[1])
+            return roundtrip(handle, message)
+
+        monkeypatch.setattr(WorkerHandle, "roundtrip", recording)
+        payload = varied_payloads(1, seed=5)[0]
+        with NetServer(port=0, workers=2) as server:
+            with NetClient(*server.address) as client:
+                reply = client.solve_payload(dict(payload, id="fw"))
+        assert reply["status"] == "ok" and reply["id"] == "fw"
+        [(shard, item)] = sent
+        assert set(item) == {"id", "packed"} and isinstance(item["packed"], bytes)
+        assert item["id"] == "fw"
+        assert routing_key(item) == structural_key(parse_request(payload).problem)
+        assert shard == shard_for(payload, 2)
 
     def test_malformed_solves_get_the_in_band_parse_error(self):
         bad = [
@@ -576,11 +602,20 @@ def _solve_with_non_utf8_id():
     return bytes(frame)
 
 
+def _solve_with_non_utf8_name():
+    payload = varied_payloads(1)[0]
+    payload = dict(payload, id="x", problem=dict(payload["problem"], name="y"))
+    frame = bytearray(wire.encode_binary_frame(payload))
+    frame[wire.HEADER_BYTES + wire._SOLVE_FRONT.size + 1] = 0xFF  # the name's one byte
+    return bytes(frame)
+
+
 #: Single frames whose decoding or handling raises.  Each must fail only
 #: its own connection: frames are decoded before any authentication
 #: check, so any client could send one.
 LOOP_KILLERS = {
     "solve-id-not-utf8": _solve_with_non_utf8_id(),
+    "solve-name-not-utf8": _solve_with_non_utf8_name(),
     "result-id-overruns-body": raw_frame(
         wire.KIND_RESULT, wire._RESULT_FRONT.pack(1.0, 0.0, 3, 1, 0, 8)
     ),

@@ -296,8 +296,6 @@ class TestBinaryCodec:
     def test_truncated_packed_bodies_are_errors(self):
         solve = encode_binary_frame(solve_payload_dict(4))
         # Rewrite the declared length so a short body still "completes".
-        import struct
-
         from repro.net.binary import _HEADER, HEADER_BYTES
 
         magic, version, kind, flags, rid, length = _HEADER.unpack_from(solve)
@@ -456,6 +454,72 @@ class TestDecoderFuzz:
         )
         with pytest.raises(BinaryFrameError, match="exceeds"):
             wire._parse_header(header, 0)
+
+
+class TestForwardingSplit:
+    """Frame readers keep solve bodies packed: the forwarding split must
+    accept exactly the frames the full decoder accepts, and every body
+    it forwards must decode in the worker."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(frame=st.one_of(_solve_bodies(), _json_bodies, _any_bodies))
+    def test_forwarding_accepts_what_the_decoder_accepts(self, frame):
+        kind, body = frame
+        blob = raw_frame(kind, body, 9)
+        decoded, _, decode_error = wire._split_frames(blob)
+        forwarded, _, forward_error = wire._split_frames(blob, 0, True)
+        assert (decode_error is None) == (forward_error is None)
+        assert len(decoded) == len(forwarded)
+        for (payload, rid), (item, fid) in zip(decoded, forwarded):
+            assert rid == fid == 9
+            if kind != wire.KIND_SOLVE:
+                assert item.keys() == payload.keys()
+                continue
+            assert set(item) == {"id", "packed"} and item["packed"] == body
+            again = wire._unpack_solve_body(item["packed"])
+            assert again["id"] == item["id"] == payload["id"]
+            assert routing_key(item) == routing_key(payload)
+            assert wire.decode_forwarded(item).keys() == payload.keys()
+
+    @pytest.mark.parametrize("mu", [1.5, [1.5, 1.6, 1.7, 1.8], None])
+    def test_routing_key_and_hint_from_a_body_equal_the_decoded_payloads(self, mu):
+        from repro.net import params_from_payload
+
+        request = SolveRequest(problem=ring_problem(), request_id="fw")
+        payload = request_to_payload(request)
+        if mu is None:
+            del payload["problem"]["mu"]
+        else:
+            payload["problem"]["mu"] = mu
+        frame = encode_binary_frame(payload, 3)
+        [(item, _)], _, error = wire._split_frames(frame, 0, True)
+        [(decoded, _)], _ = decode_binary_frames(frame)
+        assert error is None and set(item) == {"id", "packed"}
+        assert routing_key(item) == routing_key(decoded) == structural_key(request.problem)
+        assert shard_for(item, 3) == shard_for(decoded, 3)
+        hint, want = params_from_payload(item), params_from_payload(decoded)
+        if mu is None:
+            assert hint is None and want is None
+        else:
+            assert hint.tobytes() == want.tobytes()
+
+    def test_the_reader_forwards_and_the_decoder_decodes(self):
+        request = SolveRequest(problem=ring_problem(), request_id="r")
+        frame = encode_binary_frame(request_to_payload(request))
+        a, b = socket_pair()
+        try:
+            [(item, _)], _ = BinaryFrameReader(b).feed(frame)
+        finally:
+            a.close()
+            b.close()
+        [(plain, _)], _ = decode_binary_frames(frame)
+        assert isinstance(item["packed"], bytes) and item["id"] == "r"
+        assert np.array_equal(wire.forwarded_cost(item), request.problem.cost_matrix)
+        assert isinstance(plain["problem"]["cost_matrix"], np.ndarray)
+        decoded = wire.decode_forwarded(item)
+        assert decoded.keys() == plain.keys()
+        assert np.array_equal(decoded["problem"]["cost_matrix"], plain["problem"]["cost_matrix"])
+        assert wire.forwarded_cost(plain) is None and wire.decode_forwarded(plain) is plain
 
 
 class TestManySmallFrames:
@@ -656,6 +720,26 @@ class TestClientConnectMetrics:
                 assert client.request({"id": "a"})["status"] == "ok"
                 assert client.metrics["connects"] == 1
                 assert client.metrics["reconnects"] == 1
+
+
+class TestClientRefusesNonDictPayloads:
+    """A payload the wire cannot frame is refused with a typed error
+    before a connection is taken (no server listens here)."""
+
+    @pytest.mark.parametrize("payload", [[1, 2], "ring", None, 3])
+    def test_typed_error_and_no_connection(self, payload):
+        client = NetClient("127.0.0.1", 9, retries=0, timeout_s=1.0)
+        calls = [
+            lambda: client.request(payload),
+            lambda: client.solve_payload(payload),
+            lambda: client.request_many([{"op": "ping"}, payload]),
+            lambda: client.solve_payloads([payload]),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="must be a dict"):
+                call()
+        assert client.metrics["connects"] == client.metrics["reconnects"] == 0
+        assert client.metrics["requests"] == 0
 
 
 class TestRouting:

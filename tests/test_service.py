@@ -3,6 +3,7 @@ and the service's bit-for-bit dispatch-parity guarantee."""
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.algorithm import solve
 from repro.core.initials import paper_skewed_allocation, uniform_allocation
 from repro.core.model import FileAllocationProblem
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.network.builders import line_graph, ring_graph
 from repro.obs import MetricsRegistry
 from repro.queueing import MD1Delay
@@ -38,7 +39,18 @@ from repro.service import (
     problem_fingerprint,
     relative_distance,
     request_fingerprint,
+    request_key,
     structural_key,
+)
+from repro.service import codec, fingerprint
+from repro.service import service as service_module
+from repro.service import types as service_types
+from repro.service.codec import (
+    LeastCostMatrices,
+    parse_request,
+    payload_key,
+    request_to_payload,
+    safe_parse,
 )
 from repro.service.fingerprint import relative_distances
 
@@ -146,9 +158,9 @@ class TestSolutionCache:
         request = SolveRequest(
             problem=ring_problem(), initial_allocation=paper_skewed_allocation(4)
         )
-        assert cache.lookup(request).status == "miss"
+        assert cache.lookup(request_key(request)).status == "miss"
         cache.store(request, reference_solve(request))
-        hit = cache.lookup(request)
+        hit = cache.lookup(request_key(request))
         assert hit.status == "hit" and hit.distance == 0.0
         # Different alpha: same structure, same problem — warm, not hit.
         other = SolveRequest(
@@ -156,7 +168,7 @@ class TestSolutionCache:
             alpha=0.2,
             initial_allocation=paper_skewed_allocation(4),
         )
-        assert cache.lookup(other).status == "warm"
+        assert cache.lookup(request_key(other)).status == "warm"
 
     def test_warm_respects_distance_radius(self):
         cache = SolutionCache(8, max_warm_distance=0.05)
@@ -164,8 +176,8 @@ class TestSolutionCache:
         cache.store(request, reference_solve(request))
         near = SolveRequest(problem=ring_problem(k=1.01))
         far = SolveRequest(problem=ring_problem(k=3.0))
-        assert cache.lookup(near).status == "warm"
-        assert cache.lookup(far).status == "miss"
+        assert cache.lookup(request_key(near)).status == "warm"
+        assert cache.lookup(request_key(far)).status == "miss"
 
     def test_only_converged_solves_are_stored(self):
         cache = SolutionCache(8)
@@ -193,23 +205,23 @@ class TestSolutionCache:
             cache.store(r, reference_solve(r))
         assert len(cache) == 2
         # The first-stored entry was evicted: no longer an exact hit.
-        assert cache.lookup(requests[0]).status != "hit"
-        assert cache.lookup(requests[2]).status == "hit"
+        assert cache.lookup(request_key(requests[0])).status != "hit"
+        assert cache.lookup(request_key(requests[2])).status == "hit"
 
     def test_zero_capacity_disables_cache(self):
         cache = SolutionCache(0)
         request = SolveRequest(problem=ring_problem())
         cache.store(request, reference_solve(request))
         assert len(cache) == 0
-        assert cache.lookup(request).status == "miss"
+        assert cache.lookup(request_key(request)).status == "miss"
 
     def test_counters(self):
         registry = MetricsRegistry()
         cache = SolutionCache(8, registry=registry)
         request = SolveRequest(problem=ring_problem())
-        cache.lookup(request)
+        cache.lookup(request_key(request))
         cache.store(request, reference_solve(request))
-        cache.lookup(request)
+        cache.lookup(request_key(request))
         assert registry.counters["service.cache.miss"] == 1
         assert registry.counters["service.cache.hit"] == 1
         assert registry.gauges["service.cache.size"] == 1.0
@@ -546,8 +558,6 @@ class TestRequestValidation:
         assert other.request_id != request.request_id
 
     def test_infeasible_start_rejected(self):
-        from repro.exceptions import ReproError
-
         with pytest.raises(ReproError):
             SolveRequest(
                 problem=ring_problem(), initial_allocation=np.array([2.0, 0, 0, 0])
@@ -589,9 +599,9 @@ class TestCacheTtl:
         )
         cache.store(request, reference_solve(request))
         clock.advance(9.9)
-        assert cache.lookup(request).status == "hit"  # within TTL
+        assert cache.lookup(request_key(request)).status == "hit"  # within TTL
         clock.advance(0.2)
-        lookup = cache.lookup(request)
+        lookup = cache.lookup(request_key(request))
         assert lookup.status == "miss"
         assert len(cache) == 0  # lazily evicted on contact
         assert registry.counters["service.cache.expired"] == 1
@@ -607,9 +617,9 @@ class TestCacheTtl:
         near = SolveRequest(
             problem=ring_problem(k=1.001), initial_allocation=skewed
         )
-        assert cache.lookup(near).status == "warm"  # fresh donor
+        assert cache.lookup(request_key(near)).status == "warm"  # fresh donor
         clock.advance(6.0)
-        assert cache.lookup(near).status == "miss"  # expired donor skipped
+        assert cache.lookup(request_key(near)).status == "miss"  # expired donor skipped
         assert len(cache) == 0
 
     def test_restore_after_expiry_hits_again(self):
@@ -634,7 +644,7 @@ class TestCacheTtl:
             problem=ring_problem(), initial_allocation=paper_skewed_allocation(4)
         )
         cache.store(request, reference_solve(request))
-        assert cache.lookup(request).status == "hit"
+        assert cache.lookup(request_key(request)).status == "hit"
 
     def test_bad_ttl_rejected(self):
         with pytest.raises(ConfigurationError, match="ttl_s"):
@@ -955,7 +965,7 @@ class TestCacheSweep:
         assert len(cache) == 2  # only the fresh entries survive
         assert registry.counters["service.cache.swept"] == 3
         for request in fresh:
-            assert cache.lookup(request).status == "hit"
+            assert cache.lookup(request_key(request)).status == "hit"
 
     def test_amortized_sweep_reclaims_untouched_keys(self):
         clock = FakeClock()
@@ -971,7 +981,7 @@ class TestCacheSweep:
         # structure, all misses) still triggers the amortized sweep.
         probe = SolveRequest(problem=ring_problem(5))
         for _ in range(4):
-            cache.lookup(probe)
+            cache.lookup(request_key(probe))
         assert len(cache) == 0
         assert registry.counters["service.cache.swept"] == 6
 
@@ -1019,11 +1029,11 @@ class TestCostAwareEviction:
         hot = hot_request()
         cache.store(hot, reference_solve(hot))
         for _ in range(5):
-            assert cache.lookup(hot).status == "hit"
+            assert cache.lookup(request_key(hot)).status == "hit"
         for scan in varied_ring_requests(12, seed=31):
             cache.store(scan, reference_solve(scan))
         assert len(cache) == 4
-        assert cache.lookup(hot).status == "hit"
+        assert cache.lookup(request_key(hot)).status == "hit"
 
     def test_lru_flushes_the_same_hot_entry(self):
         """The control for the test above: recency eviction loses the
@@ -1032,10 +1042,10 @@ class TestCostAwareEviction:
         hot = hot_request()
         cache.store(hot, reference_solve(hot))
         for _ in range(5):
-            assert cache.lookup(hot).status == "hit"
+            assert cache.lookup(request_key(hot)).status == "hit"
         for scan in varied_ring_requests(12, seed=31):
             cache.store(scan, reference_solve(scan))
-        assert cache.lookup(hot).status != "hit"
+        assert cache.lookup(request_key(hot)).status != "hit"
 
     def test_credit_warm_raises_donor_value(self):
         cache = SolutionCache(8, eviction="cost")
@@ -1081,7 +1091,7 @@ class TestCostAwareEviction:
         )
         cache.store(hot, reference_solve(hot))
         for _ in range(50):
-            cache.lookup(hot)  # enormous accumulated value
+            cache.lookup(request_key(hot))  # enormous accumulated value
         clock.advance(11.0)  # ...but now expired
         fresh = varied_ring_requests(2, seed=35)
         for request in fresh:
@@ -1089,9 +1099,9 @@ class TestCostAwareEviction:
         # The expired entry lost both evictions; the fresh pair survived
         # (a fresh same-structure entry may still donate warm starts).
         assert len(cache) == 2
-        assert cache.lookup(hot).status != "hit"
+        assert cache.lookup(request_key(hot)).status != "hit"
         for request in fresh:
-            assert cache.lookup(request).status == "hit"
+            assert cache.lookup(request_key(request)).status == "hit"
 
     def test_expired_entry_cannot_donate_under_cost_policy(self):
         clock = FakeClock()
@@ -1100,9 +1110,9 @@ class TestCostAwareEviction:
         donor = SolveRequest(problem=ring_problem(k=1.0), initial_allocation=skewed)
         cache.store(donor, reference_solve(donor))
         near = SolveRequest(problem=ring_problem(k=1.001), initial_allocation=skewed)
-        assert cache.lookup(near).status == "warm"
+        assert cache.lookup(request_key(near)).status == "warm"
         clock.advance(6.0)
-        assert cache.lookup(near).status == "miss"
+        assert cache.lookup(request_key(near)).status == "miss"
         assert len(cache) == 0
 
 
@@ -1147,7 +1157,7 @@ class TestNearestDonorProperty:
                 request_id=f"probe-{i}",
             )
             expected = self.brute_force(cache, probe)
-            got = cache._nearest(probe)
+            got = cache._nearest(request_key(probe))
             if expected is None:
                 assert got is None
             else:
@@ -1163,7 +1173,7 @@ class TestNearestDonorProperty:
             cache.store(request, reference_solve(request))
         for probe in varied_ring_requests(8, seed=45):
             expected = self.brute_force(cache, probe)
-            got = cache._nearest(probe)
+            got = cache._nearest(request_key(probe))
             assert (got is None) == (expected is None)
             if expected is not None:
                 assert got[0] is expected
@@ -1271,18 +1281,314 @@ class TestDriftInvalidation:
         base = self.base_rates()
         ring = self.request(base, "t0").problem
         structure = structural_key(ring)
-        assert tracker.observe(ring) == 0
+        assert tracker.observe(structure, parameter_vector(ring)) == 0
         assert tracker.epoch_of(structure) == 0
         shifted = self.request(base * 1.6, "t1").problem
-        epochs = {tracker.observe(shifted) for _ in range(4)}
+        epochs = {
+            tracker.observe(structural_key(shifted), parameter_vector(shifted))
+            for _ in range(4)
+        }
         assert tracker.epoch_of(structure) >= 1
         assert max(epochs) == tracker.epoch_of(structure)
         # A different structure has its own independent estimate.
         other = ring_problem(5)
-        assert tracker.observe(other) == 0
+        assert tracker.observe(structural_key(other), parameter_vector(other)) == 0
 
     def test_tracker_validation(self):
         with pytest.raises(ConfigurationError):
             DriftTracker(threshold=0.0)
         with pytest.raises(ConfigurationError):
             DriftTracker(window=0)
+
+
+# -- the hash path: exact repeats answered from the payload's bytes --------------
+
+
+def parse_flow(service, payloads):
+    """The parse-everything flow of ``solve_payloads`` before the hash
+    path: parse, submit, pump, answer."""
+    slots = [None] * len(payloads)
+    tickets = []
+    for i, payload in enumerate(payloads):
+        request, error = safe_parse(payload)
+        if error is not None:
+            slots[i] = error
+            continue
+        tickets.append((i, service.submit(request)))
+    if any(not ticket.done() for _, ticket in tickets):
+        service.pump()
+    for i, ticket in tickets:
+        slots[i] = ticket.response.as_dict()
+    return slots
+
+
+class TickingClock:
+    """Advances on every reading, so the two flows agree on TTL and
+    deadline decisions only if they read the clock at the same points."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 0.25
+        return self.now
+
+
+def _hash_stream(seed=7):
+    """Groups of payloads over a small pool: exact repeats in JSON-list and
+    ndarray form, named and vector starts, scalar and vector mu, a named
+    topology, drifting rates, bad unkeyed fields on cached payloads, a
+    deadline no request meets, the error marker (alone, and on a cached
+    problem) and empty ids."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    cost = 1.0 - np.eye(n)
+    rates = np.array([0.2, 0.3, 0.15, 0.25])
+    pool = [
+        {"problem": {"cost_matrix": cost.tolist(), "access_rates": rates.tolist(),
+                     "mu": 1.5, "k": 1.0}, "epsilon": 1e-4},
+        {"problem": {"cost_matrix": cost * 2.0, "access_rates": rates[::-1].copy(),
+                     "mu": np.array([1.5, 1.6, 1.7, 1.8])},
+         "start": rng.dirichlet(np.ones(n)), "alpha": 0.2},
+        {"problem": {"topology": "ring", "nodes": 5, "rate": 0.8}, "start": "skewed"},
+        {"problem": {"cost_matrix": (cost * 1.5).tolist(), "access_rates": rates.tolist(),
+                     "mu": [1.6] * n}, "start": [0.25] * n, "max_iterations": 4000},
+    ]
+    pool += [
+        {**pool[3], "problem": {**pool[3]["problem"],
+                                "access_rates": (rates * scale).tolist()}}
+        for scale in (1.3, 0.7)
+    ]
+    pool += [
+        {**pool[0], "timeout_s": -1.0},
+        {**pool[1], "priority": "high"},
+        {**pool[0], "timeout_s": 0.1},
+        {**pool[2], "priority": 1},
+        {"status": "error", "detail": "line 3: invalid JSON", "id": "m"},
+        [1, 2],
+        {**pool[0], "status": "error", "detail": "pre-marked", "id": "pm"},
+    ]
+    weights = np.array([8, 6, 5, 5, 3, 3, 1, 1, 1, 2, 1, 1, 1], dtype=float)
+    groups = []
+    for g in range(24):
+        size = int(rng.integers(1, 9))
+        picks = rng.choice(len(pool), size=size, p=weights / weights.sum())
+        group = []
+        for j, pick in enumerate(picks):
+            payload = pool[pick]
+            if isinstance(payload, dict) and "status" not in payload:
+                payload = {**payload, "id": "" if rng.random() < 0.2 else f"g{g}-{j}"}
+            group.append(payload)
+        groups.append(group)
+    # A new problem is cached, its rates drift, and it is repeated: demoted.
+    fresh = {**pool[3], "problem": {**pool[3]["problem"], "cost_matrix": cost * 2.5}}
+    drifted = [
+        {**fresh, "problem": {**fresh["problem"], "access_rates": (rates * scale).tolist()}}
+        for scale in (1.3, 0.7)
+    ]
+    groups += [[{**p, "id": f"d{j}"}] for j, p in enumerate([fresh, *drifted, fresh])]
+    # The error marker on a problem the cache holds is still an error.
+    groups += [[{**pool[0], "id": "c0"}], [pool[-1]]]
+    # Priority 1 passes the shedding threshold, so the queue fills.
+    groups.append([{**pool[9], "id": f"full-{j}"} for j in range(8)])
+    return groups
+
+
+def _build(eviction, clock):
+    registry = MetricsRegistry()
+    drift = DriftTracker(threshold=0.05, window=2, registry=registry)
+    cache = SolutionCache(
+        5, ttl_s=15.0, eviction=eviction, drift=drift, registry=registry, clock=clock
+    )
+    admission = AdmissionController(max_queue_depth=6, shed_threshold=5)
+    return AllocationService(
+        max_batch=4, cache=cache, admission=admission, registry=registry, clock=clock
+    )
+
+
+def _cache_state(service):
+    cache = service.cache
+    entries = [
+        (fp, e.hits, e.value, e.epoch, e.stored_at, e.warm_uses)
+        for fp, e in cache._entries.items()
+    ]
+    drift = {
+        key: (state.epoch, state.observations, state.estimate.tobytes())
+        for key, state in cache.drift._states.items()
+    }
+    return entries, drift, cache.total_bytes
+
+
+def _strip(answers):
+    return [
+        {k: v for k, v in a.items() if k != "latency_s"} if isinstance(a, dict) else a
+        for a in answers
+    ]
+
+
+class TestHashPath:
+    """``solve_payloads`` answers exact repeats from the payload's bytes,
+    and every answer, counter and cache decision equals the parse flow's."""
+
+    @pytest.mark.parametrize("eviction", EVICTION_POLICIES)
+    def test_differential_against_the_parse_flow(self, eviction, monkeypatch):
+        groups = _hash_stream()
+        # What became of tickets queued unparsed: hits answered, rejections,
+        # and parses after a probe that did not hit.
+        seen = {"hit": 0, "rejected": 0, "parsed": 0}
+        complete, reject = AllocationService._complete, AllocationService._reject
+
+        def spy_complete(self, item, **fields):
+            seen["hit"] += item.request is None and fields["cache"] == "hit"
+            complete(self, item, **fields)
+
+        def spy_reject(self, item, *args, **kwargs):
+            seen["rejected"] += item.request is None
+            reject(self, item, *args, **kwargs)
+
+        def spy_parse(*args):
+            seen["parsed"] += 1
+            return parse_request(*args)
+
+        monkeypatch.setattr(AllocationService, "_complete", spy_complete)
+        monkeypatch.setattr(AllocationService, "_reject", spy_reject)
+        monkeypatch.setattr(service_module, "parse_request", spy_parse)
+
+        runs = []
+        for flow in ("hash", "parse"):
+            monkeypatch.setattr(service_types, "_request_ids", itertools.count(1))
+            service = _build(eviction, TickingClock())
+            if flow == "hash":
+                answers = [service.solve_payloads(group) for group in groups]
+            else:
+                answers = [parse_flow(service, group) for group in groups]
+            runs.append((answers, service))
+        (hashed, fast), (parsed, slow) = runs
+        assert [_strip(a) for a in hashed] == [_strip(a) for a in parsed]
+        assert list(fast._latencies) == list(slow._latencies)
+        assert fast.registry.counters == slow.registry.counters
+        assert fast.registry.gauges == slow.registry.gauges
+        assert _cache_state(fast) == _cache_state(slow)
+        # The stream reached every decision the hash path must keep.
+        counters = slow.registry.counters
+        assert seen["hit"] >= 10 and seen["rejected"] >= 1 and seen["parsed"] >= 1
+        for name in ("hit", "expired", "demoted", "warm", "miss"):
+            assert counters.get(f"service.cache.{name}", 0) >= 1, name
+        for reason in (REJECT_QUEUE_FULL, REJECT_LOAD_SHED, REJECT_DEADLINE):
+            assert counters.get(f"service.rejected.{reason}", 0) >= 1, reason
+        answered = [a for group in hashed for a in group]
+        assert any(a["id"].startswith("req-") and a.get("cache") == "hit" for a in answered)
+        assert sum(a.get("status") == "error" for a in answered) >= 3
+
+    def test_a_cold_miss_is_hashed_once(self, monkeypatch):
+        """The key computed from the payload serves the probe and the
+        store: a cold solve hashes its arrays once, a repeat once more."""
+        hashed = []
+        real = fingerprint.key_of_arrays
+
+        def counting(*args):
+            hashed.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(codec, "key_of_arrays", counting)
+        monkeypatch.setattr(fingerprint, "key_of_arrays", counting)
+        service = ServiceConfig().build()
+        payload = request_to_payload(SolveRequest(problem=ring_problem(5), request_id="c"))
+        answers = [service.solve_payloads([payload])[0] for _ in range(2)]
+        assert [a["cache"] for a in answers] == ["miss", "hit"]
+        assert hashed == [5, 5]
+
+    def test_named_topology_repeat_runs_no_second_search(self, monkeypatch):
+        def named(i, rate):
+            return {"id": f"n{i}", "problem": {"topology": "complete", "nodes": 40,
+                                               "rate": rate}}
+
+        stream = [named(0, 1.0), named(1, 0.9), named(2, 1.0)]
+        reference = ServiceConfig().build()
+        expected = [parse_flow(reference, [p])[0] for p in stream]
+        searches = []
+        real = codec.all_pairs_shortest_paths
+
+        def counting(topology):
+            searches.append(topology.n)
+            return real(topology)
+
+        monkeypatch.setattr(codec, "all_pairs_shortest_paths", counting)
+        service = ServiceConfig().build()
+        answers = [service.solve_payloads([p])[0] for p in stream]
+        assert searches == [40]
+        assert [a["cache"] for a in answers] == ["miss", "warm", "hit"]
+        assert _strip(answers) == _strip(expected)
+
+    def test_kept_matrices_stay_within_their_byte_budget(self, monkeypatch):
+        monkeypatch.setattr(codec, "_LEAST_COST_BYTES", 3 * 8 * 20 * 20)
+        store = LeastCostMatrices()
+        for nodes in (20, 21, 22, 20):
+            store.build("ring", nodes)
+        assert len(store) == 2 and store.get("ring", 21) is None
+        matrix, name = store.get("ring", 20)
+        assert name == "ring-20" and not matrix.flags.writeable
+
+
+_FLOAT = st.floats(0.01, 0.3)
+
+
+@st.composite
+def _payloads(draw):
+    n = draw(st.integers(2, 5))
+    as_array = draw(st.booleans())
+
+    def vector(values):
+        return np.array(values) if as_array else list(values)
+
+    if draw(st.booleans()):
+        spec = {"topology": draw(st.sampled_from(["ring", "line", "star", "complete"])),
+                "nodes": n}
+        for field, values in (("rate", _FLOAT), ("mu", st.floats(1.2, 3.0)),
+                              ("k", st.floats(0.5, 2.0))):
+            if draw(st.booleans()):
+                spec[field] = draw(values)
+    else:
+        cost = [[0.0 if i == j else draw(st.floats(0.0, 3.0)) for j in range(n)]
+                for i in range(n)]
+        spec = {"cost_matrix": np.array(cost) if as_array else cost,
+                "access_rates": vector([draw(_FLOAT) for _ in range(n)])}
+        mu = draw(st.one_of(
+            st.floats(1.6, 3.0),
+            st.lists(st.floats(1.6, 3.0), min_size=n, max_size=n).map(vector),
+            st.just([[1.7]]),
+        ))
+        spec["mu"] = mu
+        if draw(st.booleans()):
+            spec["k"] = draw(st.sampled_from([0.5, 1, "2.0", True]))
+    payload = {"problem": spec}
+    start = draw(st.one_of(
+        st.none(), st.sampled_from(["uniform", "skewed", "single"]),
+        st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n),
+    ))
+    if isinstance(start, list):
+        total = sum(start)
+        payload["start"] = vector([x / total for x in start])
+    elif start is not None:
+        payload["start"] = start
+    for field, values in (("alpha", st.floats(0.05, 0.5)), ("epsilon", st.floats(1e-5, 1e-2)),
+                          ("max_iterations", st.sampled_from([50, 200.0, 7.9, True, "300"]))):
+        if draw(st.booleans()):
+            payload[field] = draw(values)
+    return payload
+
+
+class TestPayloadKeyProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(payload=_payloads())
+    def test_payload_key_equals_the_parsed_requests_key(self, payload):
+        store = LeastCostMatrices()
+        try:
+            request = parse_request(payload, store)
+        except (ReproError, TypeError, ValueError, OverflowError):
+            return
+        key = payload_key(payload, store)
+        assert key is not None
+        assert key.fingerprint == request_fingerprint(request)
+        assert key.structure == structural_key(request.problem)
+        assert key.params.tobytes() == parameter_vector(request.problem).tobytes()

@@ -83,6 +83,12 @@ def test_cli_loads_no_figure_code(code, experiments):
                            "repro.distributed"]) == []
 
 
+def test_building_the_cli_parser_loads_no_service_stack():
+    loaded = _fresh("from repro.cli import _build_parser\n_build_parser()" + REPORT_MODULES)
+    assert _under(loaded, ["repro.service.service", "repro.parallel",
+                           "repro.core.algorithm"]) == []
+
+
 def test_star_import_and_dir_list_every_export():
     code = """
 import json
